@@ -1,12 +1,11 @@
 // Scoring-path speed: ns/edge of every ScoreCore-backed streaming
-// partitioner across the three scoring modes — the scalar reference
-// scorer, the batched bit-packed path, and the SIMD kernel tier (AVX2 or
-// the portable omp-simd twin, picked by runtime dispatch) — across
-// partition counts. All modes are bit-identical (the fingerprint gauges
-// below and tests/score_core_test.cc pin that), so the ratios are pure
-// scoring cost: per-candidate Contains probes and branchy score loops vs
-// word-at-a-time membership and fused score/argmax sweeps vs vectorized
-// 4-lane score+argmax.
+// partitioner in both scoring modes — the reference scorer and the fast
+// mode (AVX2 kernels, or the batched bit-packed kernels where the CPU
+// lacks AVX2 or SGP_FORCE_SCALAR_DISPATCH is set) — across partition
+// counts. Both modes are bit-identical (the fingerprint gauges below and
+// tests/score_core_test.cc pin that), so the ratio is pure scoring cost:
+// per-candidate Contains probes and branchy score loops vs
+// word-at-a-time membership and vectorized score+argmax sweeps.
 //
 // Also keeps the Section 4.1 memory claim visible: streaming partitioners
 // hold only an O(n + k) synopsis (state_KB column), a fraction of what the
@@ -95,24 +94,23 @@ int main() {
   const uint32_t scale = bench::ScaleFromEnv();
   bench::PrintBanner(
       "Partitioner scoring speed",
-      "ns/edge of the scalar reference scorer vs the batched bit-packed "
-      "ScoreCore path vs the SIMD kernel tier (bit-identical assignments)",
+      "ns/edge of the reference scorer vs the fast ScoreCore kernels "
+      "(bit-identical assignments)",
       scale);
-  std::cout << "simd dispatch: "
-            << score::SimdTierName(score::ActiveSimdTier()) << " tier\n";
+  std::cout << "fast-mode kernel tier: "
+            << score::KernelTierName(score::ActiveKernelTier()) << "\n";
   const Graph g(MakeDataset("twitter", scale));
 
   const std::vector<std::string> algos = {"LDG",  "FNL",  "HDRF", "PGG",
                                           "HG",   "ESG",  "RLDG", "RFNL"};
-  constexpr ScoreMode kModes[3] = {ScoreMode::kScalar, ScoreMode::kBatched,
-                                   ScoreMode::kSimd};
-  TablePrinter table({"Algo", "k", "scalar ns/edge", "batched ns/edge",
-                      "simd ns/edge", "batch_x", "simd_x", "state_KB"});
+  constexpr ScoreMode kModes[2] = {ScoreMode::kReference, ScoreMode::kFast};
+  TablePrinter table({"Algo", "k", "reference ns/edge", "fast ns/edge",
+                      "fast_x", "state_KB"});
   bool fingerprints_agree = true;
   for (const std::string& algo : algos) {
     for (PartitionId k : {8u, 32u, 128u}) {
-      Cell cells[3];
-      for (int m = 0; m < 3; ++m) {
+      Cell cells[2];
+      for (int m = 0; m < 2; ++m) {
         cells[m] = RunCell(g, algo, k, kModes[m]);
         const std::string prefix = "partitioner_speed." + algo + ".k" +
                                    std::to_string(k) + "." +
@@ -124,37 +122,25 @@ int main() {
             .GetGauge(prefix + ".ns_per_edge.wall", MetricOptions::WallClock())
             ->Set(cells[m].ns_per_edge);
       }
-      // batch_x: scalar → batched gain. simd_x: batched → simd gain.
+      // fast_x: reference → fast gain.
       const double speedup = cells[1].ns_per_edge == 0
                                  ? 0
                                  : cells[0].ns_per_edge / cells[1].ns_per_edge;
-      const double simd_speedup =
-          cells[2].ns_per_edge == 0
-              ? 0
-              : cells[1].ns_per_edge / cells[2].ns_per_edge;
-      const std::string cell_key =
-          "partitioner_speed." + algo + ".k" + std::to_string(k);
       MetricsRegistry::Global()
-          .GetGauge(cell_key + ".speedup.wall", MetricOptions::WallClock())
+          .GetGauge("partitioner_speed." + algo + ".k" + std::to_string(k) +
+                        ".speedup.wall",
+                    MetricOptions::WallClock())
           ->Set(speedup);
-      MetricsRegistry::Global()
-          .GetGauge(cell_key + ".simd_speedup.wall", MetricOptions::WallClock())
-          ->Set(simd_speedup);
-      for (int m = 1; m < 3; ++m) {
-        if (cells[m].fingerprint != cells[0].fingerprint) {
-          fingerprints_agree = false;
-          std::cerr << "FINGERPRINT MISMATCH: " << algo << " k=" << k
-                    << " scalar=" << cells[0].fingerprint << " "
-                    << ScoreModeName(kModes[m]) << "="
-                    << cells[m].fingerprint << "\n";
-        }
+      if (cells[1].fingerprint != cells[0].fingerprint) {
+        fingerprints_agree = false;
+        std::cerr << "FINGERPRINT MISMATCH: " << algo << " k=" << k
+                  << " reference=" << cells[0].fingerprint
+                  << " fast=" << cells[1].fingerprint << "\n";
       }
       table.AddRow({algo, std::to_string(k),
                     FormatDouble(cells[0].ns_per_edge, 2),
                     FormatDouble(cells[1].ns_per_edge, 2),
-                    FormatDouble(cells[2].ns_per_edge, 2),
                     FormatDouble(speedup, 2) + "x",
-                    FormatDouble(simd_speedup, 2) + "x",
                     FormatDouble(
                         static_cast<double>(cells[1].state_bytes) / 1024.0,
                         1)});
@@ -162,13 +148,12 @@ int main() {
   }
   table.Print(std::cout);
   std::cout
-      << "\nExpected shape: the batched path pulls ahead as k grows — at\n"
+      << "\nExpected shape: the fast mode pulls ahead as k grows — at\n"
          "k=128 a candidate sweep reads two cache lines of membership words\n"
-         "instead of doing 128 probe round-trips, so HDRF lands >=3x — and\n"
-         "the simd tier stacks a further gain on top (target >=1.5x on HDRF\n"
-         "k=128; a wall-clock gauge, not hard-asserted). All columns place\n"
-         "every edge and vertex identically: each cell's fingerprint gauge\n"
-         "pins the assignment bytes in the golden.\n";
+         "instead of doing 128 probe round-trips, so HDRF lands >=3x (a\n"
+         "wall-clock gauge, not hard-asserted). Both columns place every\n"
+         "edge and vertex identically: each cell's fingerprint gauge pins\n"
+         "the assignment bytes in the golden.\n";
   bench::WriteBenchJson("partitioner_speed", scale);
   return fingerprints_agree ? 0 : 1;
 }

@@ -5,8 +5,9 @@
 // portable build against a -march=native one (and the PR workflow diffs
 // refactors against the previous HEAD) to prove every scoring change is
 // behavior-preserving down to the last tie-break. --score-mode switches
-// every run onto the scalar / batched / simd kernels; the printed grid
-// must be byte-identical across all three (check.sh diffs them too).
+// every run onto the reference or the fast kernels (default: the
+// PartitionConfig default); the printed grid must be byte-identical
+// across both (check.sh diffs them too).
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -54,12 +55,12 @@ int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const uint32_t scale =
       static_cast<uint32_t>(flags.TakeUint64("--scale").value_or(10));
-  ScoreMode score_mode = ScoreMode::kBatched;
+  ScoreMode score_mode = PartitionConfig().score_mode;
   if (auto mode = flags.TakeString("--score-mode")) {
     if (!ParseScoreMode(*mode, &score_mode)) {
       std::fprintf(stderr,
-                   "error: unknown score mode '%s'; valid values: scalar, "
-                   "batched, simd\n",
+                   "error: unknown score mode '%s'; valid values: "
+                   "reference, fast\n",
                    mode->c_str());
       return 1;
     }

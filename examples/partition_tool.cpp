@@ -20,15 +20,21 @@
 //   --chunk-size <n>      elements per ingest chunk (both modes)
 //   --seed <s>            RNG/hash seed
 //   --slack <b>           balance slack β (default 1.05)
-//   --score-mode <m>      scoring kernels: scalar|batched|simd (all modes
-//                         produce bit-identical partitionings; simd prints
-//                         the dispatched ISA tier at startup)
+//   --score-mode <m>      scoring kernels: reference|fast (default fast;
+//                         both produce bit-identical partitionings; fast
+//                         prints its dispatched kernel tier, avx2 or
+//                         batched, at startup)
 //   --output <file>       write "vertex partition" lines
 //   --metrics-out <file>  dump the telemetry registry as JSON
 //   --trace-out <file>    dump the registry with traces included
+//
+// <k> is the number of partitions, an integer in [1, 4294967295]; any
+// other value is rejected with exit code 1.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,7 +46,6 @@
 #include "partition/partition_io.h"
 #include "partition/partitioner.h"
 #include "partition/score_core.h"
-#include "partition/stream_ingest.h"
 #include "stream/source.h"
 
 namespace {
@@ -51,7 +56,7 @@ void PrintUsage() {
          "       partition_tool --input-edgelist <file> <algorithm> <k> "
          "[options]\n"
          "options: [--directed] [--order o] [--chunk-size n] [--seed s]\n"
-         "         [--slack b] [--score-mode scalar|batched|simd]\n"
+         "         [--slack b] [--score-mode reference|fast]\n"
          "         [--output file] [--metrics-out file] [--trace-out file]\n"
          "algorithms (from the registry):\n"
       << sgp::PartitionerHelpText();
@@ -84,7 +89,7 @@ int main(int argc, char** argv) {
   if (auto mode = flags.TakeString("--score-mode")) {
     if (!ParseScoreMode(*mode, &config.score_mode)) {
       std::cerr << "error: unknown score mode '" << *mode
-                << "'; valid values: scalar, batched, simd\n";
+                << "'; valid values: reference, fast\n";
       return 1;
     }
   }
@@ -106,13 +111,21 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string algo = positional[expected - 2];
-  config.k = static_cast<PartitionId>(std::stoul(positional[expected - 1]));
+  const std::string& k_text = positional[expected - 1];
+  const std::optional<uint64_t> k = ParseUint64(k_text);
+  if (!k || *k == 0 || *k > std::numeric_limits<PartitionId>::max()) {
+    std::cerr << "error: <k> must be an integer in [1, "
+              << std::numeric_limits<PartitionId>::max() << "], got '"
+              << k_text << "'\n";
+    return 1;
+  }
+  config.k = static_cast<PartitionId>(*k);
   config.ingest_chunk_size = chunk_size;
 
   std::cout << "score mode: " << ScoreModeName(config.score_mode);
-  if (config.score_mode == ScoreMode::kSimd) {
-    std::cout << " (dispatched ISA tier: "
-              << score::SimdTierName(score::ActiveSimdTier()) << ")";
+  if (config.score_mode == ScoreMode::kFast) {
+    std::cout << " (dispatched kernel tier: "
+              << score::KernelTierName(score::ActiveKernelTier()) << ")";
   }
   std::cout << "\n";
 

@@ -107,13 +107,10 @@ ParallelStreamResult RunParallelVertexStream(
   std::vector<size_t> cursor(s, 0);
   CombinedLoadScratch comb;
   uint64_t tie_breaks = 0;  // counted by the kernels, not reported here
-  const ScoreMode mode = config.score_mode;
-  const score::SimdTier tier = mode == ScoreMode::kSimd
-                                   ? score::ActiveSimdTier()
-                                   : score::SimdTier::kPortable;
-  // Pow-form FENNEL has no SIMD twin; those picks fall back to batched.
-  const bool simd_greedy =
-      mode == ScoreMode::kSimd && (objective.ldg || objective.sqrt_form);
+  const bool reference = config.score_mode == ScoreMode::kReference;
+  const score::KernelTier tier = score::ActiveKernelTier();
+  // Pow-form FENNEL has no AVX2 kernel; those picks always run batched.
+  const bool avx2_objective = objective.ldg || objective.sqrt_form;
 
   bool work_left = true;
   while (work_left) {
@@ -138,23 +135,21 @@ ParallelStreamResult RunParallelVertexStream(
         }
         score_stats.candidates += k;
         PartitionId best;
-        if (mode == ScoreMode::kScalar) {
+        if (reference) {
           best = score::GreedyPickScalar(k, neighbor_counts.data(),
                                          comb.loads.data(), weights.data(),
                                          capacity.data(), objective,
                                          &tie_breaks);
-        } else if (simd_greedy) {
-          ++score_stats.simd_picks;
-          best = score::GreedyPickSimd(tier, k, neighbor_counts.data(),
+        } else {
+          if (avx2_objective) {
+            ++score_stats.simd_picks;
+          } else {
+            ++score_stats.simd_fallbacks;
+          }
+          best = score::GreedyPickFast(tier, k, neighbor_counts.data(),
                                        comb.loads.data(), weights.data(),
                                        capacity.data(), objective,
                                        scores.data());
-        } else {
-          if (mode == ScoreMode::kSimd) ++score_stats.simd_fallbacks;
-          best = score::GreedyPickBatched(k, neighbor_counts.data(),
-                                          comb.loads.data(), weights.data(),
-                                          capacity.data(), objective,
-                                          scores.data(), &tie_breaks);
         }
         if (best == kInvalidPartition) best = u % k;  // all full (stale)
         deltas[w].emplace_back(u, best);
@@ -199,16 +194,15 @@ ParallelStreamResult RunParallelVertexStream(
 // result equals the sequential algorithm's.
 // ---------------------------------------------------------------------
 
-// One batched (or SIMD — `simd` routes the sweep through HdrfPickSimd on
-// `tier`, same selection) HDRF placement against worker w's combined
-// view: the combined loads come from the interval scratch and replica
-// membership from the bit rows (published row OR delta row), scored by
-// the shared ScoreCore kernel. Bit-identical to PlaceHdrfSharded below.
-PartitionId PlaceHdrfShardedBatched(ShardedPartitionState& shard, uint32_t w,
-                                    CombinedLoadScratch& comb, VertexId u,
-                                    VertexId v, double lambda, bool simd,
-                                    score::SimdTier tier, double* scores,
-                                    ScoreCoreStats& stats) {
+// One kFast HDRF placement against worker w's combined view: the
+// combined loads come from the interval scratch and replica membership
+// from the bit rows (published row OR delta row), swept by HdrfPickFast
+// on `tier`. Bit-identical to PlaceHdrfSharded below.
+PartitionId PlaceHdrfShardedFast(ShardedPartitionState& shard, uint32_t w,
+                                 CombinedLoadScratch& comb, VertexId u,
+                                 VertexId v, double lambda,
+                                 score::KernelTier tier,
+                                 ScoreCoreStats& stats) {
   const PartitionId k = shard.global().k();
   shard.IncrementWorkerDegree(w, u);
   shard.IncrementWorkerDegree(w, v);
@@ -224,21 +218,11 @@ PartitionId PlaceHdrfShardedBatched(ShardedPartitionState& shard, uint32_t w,
                                    shard.DeltaReplicaRow(w, u)};
   const score::MembershipRow row_v{shard.GlobalReplicaRow(v),
                                    shard.DeltaReplicaRow(w, v)};
-  uint64_t ties = 0;  // the sharded driver does not report tie counts
   stats.candidates += k;
-  PartitionId best;
-  if (simd) {
-    ++stats.simd_picks;
-    best = score::HdrfPickSimd(tier, k, comb.effective.data(),
-                               comb.loads.data(), row_u, row_v, theta_u,
-                               theta_v, lambda, max_load, spread, scores,
-                               &stats.bitset_hits);
-  } else {
-    best = score::HdrfPickBatched(k, comb.effective.data(), comb.loads.data(),
-                                  row_u, row_v, theta_u, theta_v, lambda,
-                                  max_load, spread, &ties,
-                                  &stats.bitset_hits);
-  }
+  ++stats.simd_picks;
+  const PartitionId best = score::HdrfPickFast(
+      tier, k, comb.effective.data(), comb.loads.data(), row_u, row_v,
+      theta_u, theta_v, lambda, max_load, spread, &stats.bitset_hits);
 
   shard.AddWorkerLoad(w, best);
   comb.AddLoad(shard, best, /*eff=*/true);
@@ -247,13 +231,13 @@ PartitionId PlaceHdrfShardedBatched(ShardedPartitionState& shard, uint32_t w,
   return best;
 }
 
-// One batched PGG placement against worker w's combined view; the
+// One kFast PGG placement against worker w's combined view; the
 // replica-set walks of PlacePggSharded become word-wise row operations.
-PartitionId PlacePggShardedBatched(ShardedPartitionState& shard, uint32_t w,
-                                   CombinedLoadScratch& comb,
-                                   const Graph& graph, VertexId u, VertexId v,
-                                   std::vector<uint64_t>& inter_words,
-                                   ScoreCoreStats& stats) {
+PartitionId PlacePggShardedFast(ShardedPartitionState& shard, uint32_t w,
+                                CombinedLoadScratch& comb, const Graph& graph,
+                                VertexId u, VertexId v,
+                                std::vector<uint64_t>& inter_words,
+                                ScoreCoreStats& stats) {
   const PartitionId k = shard.global().k();
   const double* weights = shard.global().weights().data();
   const score::MembershipRow row_u{shard.GlobalReplicaRow(u),
@@ -437,18 +421,15 @@ ParallelStreamResult RunParallelEdgeStream(
   result.partitioning.k = k;
   result.partitioning.edge_to_partition.resize(graph.num_edges());
 
-  // kSimd rides the batched machinery: HDRF sweeps dispatch to the SIMD
-  // kernel, while PGG keeps the word-at-a-time bit scans (sparse replica
-  // sets — a dense k-lane sweep would be slower).
-  const bool batched = config.score_mode != ScoreMode::kScalar;
-  const bool simd = config.score_mode == ScoreMode::kSimd;
-  const score::SimdTier tier =
-      simd ? score::ActiveSimdTier() : score::SimdTier::kPortable;
-  if (batched) shard.EnableReplicaBitIndex();
+  // kFast runs on the replica bit index: HDRF sweeps dispatch through
+  // HdrfPickFast, while PGG keeps the word-at-a-time bit scans (sparse
+  // replica sets — a dense k-lane sweep would be slower).
+  const bool fast = config.score_mode == ScoreMode::kFast;
+  const score::KernelTier tier = score::ActiveKernelTier();
+  if (fast) shard.EnableReplicaBitIndex();
   const bool is_hdrf = algo == ParallelAlgo::kHdrf;
   ScoreCoreStats score_stats;
   CombinedLoadScratch comb;
-  std::vector<double> scores(k, 0.0);
   std::vector<uint64_t> inter_words((static_cast<uint64_t>(k) + 63) / 64, 0);
   std::vector<PartitionId> all(k);
   for (PartitionId i = 0; i < k; ++i) all[i] = i;
@@ -460,7 +441,7 @@ ParallelStreamResult RunParallelEdgeStream(
   while (work_left) {
     work_left = false;
     for (uint32_t w = 0; w < s; ++w) {
-      if (batched) comb.Fill(shard, w, /*eff=*/is_hdrf);
+      if (fast) comb.Fill(shard, w, /*eff=*/is_hdrf);
       ++score_stats.batches;
       const size_t end = std::min(cursor[w] + options.sync_interval,
                                   substreams[w].size());
@@ -468,15 +449,13 @@ ParallelStreamResult RunParallelEdgeStream(
       for (size_t i = cursor[w]; i < end; ++i) {
         const StreamEdge& e = substreams[w][i];
         PartitionId target;
-        if (batched) {
+        if (fast) {
           target = is_hdrf
-                       ? PlaceHdrfShardedBatched(shard, w, comb, e.src, e.dst,
-                                                 config.hdrf_lambda, simd,
-                                                 tier, scores.data(),
-                                                 score_stats)
-                       : PlacePggShardedBatched(shard, w, comb, graph, e.src,
-                                                e.dst, inter_words,
-                                                score_stats);
+                       ? PlaceHdrfShardedFast(shard, w, comb, e.src, e.dst,
+                                              config.hdrf_lambda, tier,
+                                              score_stats)
+                       : PlacePggShardedFast(shard, w, comb, graph, e.src,
+                                             e.dst, inter_words, score_stats);
         } else {
           if (is_hdrf) {
             score_stats.candidates += k;

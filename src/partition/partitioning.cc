@@ -9,23 +9,19 @@ namespace sgp {
 
 std::string_view ScoreModeName(ScoreMode mode) {
   switch (mode) {
-    case ScoreMode::kScalar:
-      return "scalar";
-    case ScoreMode::kBatched:
-      return "batched";
-    case ScoreMode::kSimd:
-      return "simd";
+    case ScoreMode::kReference:
+      return "reference";
+    case ScoreMode::kFast:
+      return "fast";
   }
   return "unknown";
 }
 
 bool ParseScoreMode(std::string_view name, ScoreMode* mode) {
-  if (name == "scalar") {
-    *mode = ScoreMode::kScalar;
-  } else if (name == "batched") {
-    *mode = ScoreMode::kBatched;
-  } else if (name == "simd") {
-    *mode = ScoreMode::kSimd;
+  if (name == "reference") {
+    *mode = ScoreMode::kReference;
+  } else if (name == "fast") {
+    *mode = ScoreMode::kFast;
   } else {
     return false;
   }

@@ -23,22 +23,21 @@ std::string_view CutModelName(CutModel model);
 
 /// Implementation of the k-way candidate evaluation every streaming
 /// partitioner performs per stream element (partition/score_core.h).
-/// All modes produce bit-identical assignments — same scores, same
+/// Both modes produce bit-identical assignments — same scores, same
 /// tie-breaks (equal score → lighter load → lower id) — pinned by the
-/// equivalence suite; kScalar exists as the reference for that suite and
+/// equivalence suite; kReference exists as the baseline for that suite and
 /// for the per-mode rows of bench_partitioner_speed.
 enum class ScoreMode {
-  kBatched,  // chunk-batched SoA loops + bit-packed replica membership
-  kScalar,   // per-element loops with per-candidate replica-set probes
-  kSimd,     // explicit SIMD score+argmax kernels with runtime ISA dispatch
-             // (AVX2 or the #pragma omp simd portable twin)
+  kReference,  // per-element loops with per-candidate replica-set probes
+  kFast,       // AVX2 score+argmax kernels when the CPU has them, else the
+               // batched word-at-a-time kernels (runtime dispatch)
 };
 
-/// Human-readable name of `mode` ("scalar" / "batched" / "simd").
+/// Human-readable name of `mode` ("reference" / "fast").
 std::string_view ScoreModeName(ScoreMode mode);
 
 /// Parses a --score-mode value; returns false (leaving `*mode` untouched)
-/// for anything but "scalar", "batched" or "simd".
+/// for anything but "reference" or "fast".
 bool ParseScoreMode(std::string_view name, ScoreMode* mode);
 
 /// Shared configuration for all partitioners. Algorithm-specific parameters
@@ -94,9 +93,9 @@ struct PartitionConfig {
   uint64_t ingest_chunk_size = 0;
 
   /// Scoring-core implementation (partition/score_core.h). Assignments
-  /// are bit-identical in both modes; kScalar is the reference path the
+  /// are bit-identical in both modes; kReference is the path the
   /// equivalence tests and bench_partitioner_speed compare against.
-  ScoreMode score_mode = ScoreMode::kBatched;
+  ScoreMode score_mode = ScoreMode::kFast;
 };
 
 /// Result of any partitioning algorithm, unified across cut models.

@@ -47,11 +47,11 @@ ScoreCore::ScoreCore(PartitionState& state, ScoreMode mode)
     : state_(state), mode_(mode) {
   const PartitionId k = state_.k();
   SGP_CHECK(k > 0);
-  if (mode_ != ScoreMode::kScalar) {
+  if (mode_ == ScoreMode::kFast) {
     scores_.resize(k, 0.0);
     inter_words_.resize((static_cast<uint64_t>(k) + 63) / 64, 0);
     if (state_.replicas_enabled()) state_.replicas().EnableBitIndex(k);
-    if (mode_ == ScoreMode::kSimd) tier_ = score::ActiveSimdTier();
+    tier_ = score::ActiveKernelTier();
   } else {
     all_.resize(k);
     for (PartitionId i = 0; i < k; ++i) all_[i] = i;

@@ -28,19 +28,19 @@ namespace sgp {
 /// argmax with the canonical tie-break: equal score → lighter load →
 /// lower id) → partitioner (stream order, gather, placement recording).
 ///
-/// Three modes, bit-identical by construction and pinned by the
+/// Two modes, bit-identical by construction and pinned by the
 /// equivalence suite (tests/score_core_test.cc,
 /// partitioner_property_test.cc):
-///  - kBatched: a chunk of B stream elements per call, inner loops reading
-///    the SoA arrays directly and replica membership from the bit index
-///    (one 64-candidate word per load instead of per-candidate set
-///    probes), branch-free score evaluation where it pays.
-///  - kScalar: the reference per-element loops with ReplicaState::Contains
-///    probes — the pre-refactor code shape, kept for the per-mode rows of
-///    bench_partitioner_speed.
-///  - kSimd: explicit SIMD kernels behind runtime ISA dispatch (the
-///    SimdTier block below) — AVX2 intrinsics or a #pragma omp simd
-///    portable twin, same selections, no tie-audit counters.
+///  - kReference: the per-element loops with ReplicaState::Contains
+///    probes — the pre-refactor code shape, the baseline of the
+///    equivalence tests and the per-mode rows of bench_partitioner_speed.
+///    The only mode that counts tie-breaks.
+///  - kFast (default): a chunk of B stream elements per call, replica
+///    membership read from the bit index (one 64-candidate word per load
+///    instead of per-candidate set probes), and the k-way sweep run by the
+///    kernel tier picked at runtime (the KernelTier block below): AVX2
+///    intrinsics when the CPU has them, otherwise the batched
+///    word-at-a-time kernels. Same selections, no tie-audit counters.
 ///
 /// Every floating-point expression is textually identical between modes
 /// (and to the pre-ScoreCore algorithms), so assignments match down to
@@ -53,10 +53,10 @@ namespace sgp {
 struct ScoreCoreStats {
   uint64_t batches = 0;      // chunk-level scorer invocations
   uint64_t candidates = 0;   // candidate partitions evaluated
-  uint64_t bitset_hits = 0;  // replica-membership bits found set (batched)
-  uint64_t simd_picks = 0;   // picks served by a SIMD kernel (kSimd only)
-  uint64_t simd_fallbacks = 0;  // kSimd picks routed to the batched kernel
-                                // (pow-form FENNEL has no SIMD twin)
+  uint64_t bitset_hits = 0;  // replica-membership bits found set (kFast)
+  uint64_t simd_picks = 0;   // picks served by the kFast dispatch
+  uint64_t simd_fallbacks = 0;  // kFast picks with no AVX2 kernel, always
+                                // batched (pow-form FENNEL)
 };
 
 /// Flushes `stats` into the current registry's
@@ -110,13 +110,11 @@ inline PartitionId HdrfPickBatched(PartitionId k, const double* effective,
                                    MembershipRow v_row, double theta_u,
                                    double theta_v, double lambda,
                                    double max_load, double spread,
-                                   uint64_t* tie_breaks,
                                    uint64_t* bitset_hits) {
   const double gain_u = 1.0 + theta_v;  // g of replicating endpoint u
   const double gain_v = 1.0 + theta_u;
   PartitionId best = 0;
   double best_score = kNegInf;
-  uint64_t ties = 0;
   uint64_t hits = 0;
   for (PartitionId blk = 0; blk < k; blk += 64) {
     const uint64_t wu = u_row.Word(blk >> 6);
@@ -136,12 +134,10 @@ inline PartitionId HdrfPickBatched(PartitionId k, const double* effective,
         best_score = sc;
         best = i;
       } else if (sc == best_score && loads[i] < loads[best]) {
-        ++ties;
         best = i;
       }
     }
   }
-  *tie_breaks += ties;
   *bitset_hits += hits;
   return best;
 }
@@ -211,7 +207,7 @@ inline PartitionId GreedyPickBatched(PartitionId k,
                                      const double* weights,
                                      const double* capacity,
                                      const GreedyObjective& obj,
-                                     double* scores, uint64_t* tie_breaks) {
+                                     double* scores) {
   for (PartitionId i = 0; i < k; ++i) {
     const double size = static_cast<double>(loads[i]);
     const double sc =
@@ -228,7 +224,6 @@ inline PartitionId GreedyPickBatched(PartitionId k,
       best_load = loads[i];
     } else if (scores[i] == best_score && best != kInvalidPartition &&
                loads[i] < best_load) {
-      ++*tie_breaks;
       best = i;
       best_load = loads[i];
     }
@@ -271,8 +266,7 @@ inline PartitionId GingerPickBatched(PartitionId k,
                                      const uint32_t* neighbor_counts,
                                      const double* combined_loads,
                                      double combined_capacity, double alpha,
-                                     double gamma, double* scores,
-                                     uint64_t* tie_breaks) {
+                                     double gamma, double* scores) {
   for (PartitionId i = 0; i < k; ++i) {
     const double load = combined_loads[i];
     const double sc = static_cast<double>(neighbor_counts[i]) -
@@ -287,7 +281,6 @@ inline PartitionId GingerPickBatched(PartitionId k,
     if (scores[i] > best_score ||
         (scores[i] == best_score && best != kInvalidPartition &&
          load < best_load)) {
-      if (scores[i] == best_score) ++*tie_breaks;
       best_score = scores[i];
       best = i;
       best_load = load;
@@ -370,82 +363,84 @@ inline void IntersectRows(PartitionId k, MembershipRow a, MembershipRow b,
 }
 
 // -----------------------------------------------------------------------
-// Explicit SIMD kernel tier (ScoreMode::kSimd, partition/score_simd.cc).
+// kFast kernel dispatch (ScoreMode::kFast, partition/score_simd.cc).
 //
-// Two ISA tiers behind one dispatch point: hand-written AVX2 intrinsics
+// Two tiers behind one dispatch point: hand-written AVX2 intrinsics
 // (score_simd_avx2.cc, selected at runtime via __builtin_cpu_supports) and
-// a `#pragma omp simd` portable twin. Both tiers — and both relative to
-// kScalar/kBatched — produce bit-identical selections: every FP expression
-// keeps the exact operation order of the scalar reference (no FMA
-// contraction: the AVX2 unit is built with -mavx2 only plus
-// -ffp-contract=off), and the argmax reductions resolve ties with the full
-// canonical rule (equal score → lighter load → lower id), applied
-// lane-wise and again at the cross-lane/tail merge.
+// the batched kernels above, the fallback on every other host. Both tiers
+// — and both relative to kReference — produce bit-identical selections:
+// every FP expression keeps the exact operation order of the scalar
+// reference (no FMA contraction: the AVX2 unit is built with -mavx2 only
+// plus -ffp-contract=off), and the AVX2 argmax reductions resolve ties
+// with the full canonical rule (equal score → lighter load → lower id),
+// applied lane-wise and again at the cross-lane/tail merge.
 //
 // Counter policy: tie-break audit counters are inherently sequential
 // (they count prefix-argmax replacements) and cannot be reproduced by a
-// fused SIMD reduction, so kSimd increments *no* tie counters in either
-// tier; batches / candidates / bitset_hits are computed exactly as in
-// kBatched, keeping every deterministic counter ISA-independent.
+// fused SIMD reduction, so kFast increments *no* tie counters on either
+// tier; batches / candidates / bitset_hits are computed identically on
+// both, keeping every deterministic counter ISA-independent.
 //
 // Preconditions (hold for every caller in this repo, asserted in debug):
 // partition loads < 2^52 (exact u64→double magic conversion) and neighbor
 // counts < 2^31 (signed i32→double lanes).
 // -----------------------------------------------------------------------
 
-enum class SimdTier {
-  kPortable,  // #pragma omp simd loops, any ISA
-  kAvx2,      // AVX2 intrinsics (x86-64 with runtime avx2 support)
+enum class KernelTier {
+  kBatched,  // the batched word-at-a-time kernels above, any ISA
+  kAvx2,     // AVX2 intrinsics (x86-64 with runtime avx2 support)
 };
 
-/// Human-readable tier name ("portable" / "avx2").
-std::string_view SimdTierName(SimdTier tier);
+/// Human-readable tier name ("batched" / "avx2").
+std::string_view KernelTierName(KernelTier tier);
 
-/// True when `tier` can execute on this machine (kPortable always can).
-bool SimdTierAvailable(SimdTier tier);
+/// True when `tier` can execute on this machine (kBatched always can).
+bool KernelTierAvailable(KernelTier tier);
 
 /// Best available tier, honoring the SGP_FORCE_SCALAR_DISPATCH env
-/// override (any non-empty value other than "0" pins kPortable, so
-/// sanitizer runs can exercise the portable twin on AVX2 hardware).
+/// override (any non-empty value other than "0" pins kBatched, so
+/// sanitizer runs can exercise the fallback tier on AVX2 hardware).
 /// Re-read per call — it is consulted once per partitioner run.
-SimdTier ActiveSimdTier();
+KernelTier ActiveKernelTier();
 
-/// SIMD HDRF candidate sweep: same scores, selection and bitset-hit audit
-/// as HdrfPickBatched, no tie audit. `scores` is k doubles of scratch
-/// (used by the portable tier's materialize-then-argmax shape).
-PartitionId HdrfPickSimd(SimdTier tier, PartitionId k, const double* effective,
-                         const uint64_t* loads, MembershipRow u_row,
-                         MembershipRow v_row, double theta_u, double theta_v,
-                         double lambda, double max_load, double spread,
-                         double* scores, uint64_t* bitset_hits);
+/// HDRF candidate sweep on `tier`: same scores, selection and bitset-hit
+/// audit as HdrfPickBatched, no tie audit. A forced kAvx2 on a host
+/// without AVX2 runs the batched kernel, here and in the picks below.
+PartitionId HdrfPickFast(KernelTier tier, PartitionId k,
+                         const double* effective, const uint64_t* loads,
+                         MembershipRow u_row, MembershipRow v_row,
+                         double theta_u, double theta_v, double lambda,
+                         double max_load, double spread,
+                         uint64_t* bitset_hits);
 
-/// SIMD LDG/FENNEL pick (sqrt-form FENNEL only — the dispatcher falls
-/// back to GreedyPickBatched for the pow-form objective). Selection
-/// matches GreedyPickScalar, incl. kInvalidPartition when all full.
-PartitionId GreedyPickSimd(SimdTier tier, PartitionId k,
+/// LDG/FENNEL pick on `tier`; pow-form FENNEL has no AVX2 kernel and
+/// always runs GreedyPickBatched. Selection matches GreedyPickScalar,
+/// incl. kInvalidPartition when all full. `scores` is k doubles of
+/// scratch for the batched kernel.
+PartitionId GreedyPickFast(KernelTier tier, PartitionId k,
                            const uint32_t* neighbor_counts,
                            const uint64_t* loads, const double* weights,
                            const double* capacity, const GreedyObjective& obj,
                            double* scores);
 
-/// SIMD Ginger pick; selection matches GingerPickScalar.
-PartitionId GingerPickSimd(SimdTier tier, PartitionId k,
+/// Ginger pick on `tier`; selection matches GingerPickScalar.
+PartitionId GingerPickFast(KernelTier tier, PartitionId k,
                            const uint32_t* neighbor_counts,
                            const double* combined_loads,
                            double combined_capacity, double alpha,
                            double gamma, double* scores);
 
-/// SIMD least-effectively-loaded-with-room scan; matches
+/// Least-effectively-loaded-with-room scan on `tier`; matches
 /// LeastLoadedWithRoom (0 when every partition is at capacity).
-PartitionId LeastLoadedWithRoomSimd(SimdTier tier, PartitionId k,
+PartitionId LeastLoadedWithRoomFast(KernelTier tier, PartitionId k,
                                     const uint64_t* loads,
                                     const double* weights,
-                                    const double* capacity, double* scores);
+                                    const double* capacity);
 
-/// SIMD least-effectively-loaded scan over all k; matches LeastLoadedAll.
-PartitionId LeastLoadedAllSimd(SimdTier tier, PartitionId k,
-                               const uint64_t* loads, const double* weights,
-                               double* scores);
+/// Least-effectively-loaded scan over all k on `tier`; matches
+/// LeastLoadedAll.
+PartitionId LeastLoadedAllFast(KernelTier tier, PartitionId k,
+                               const uint64_t* loads, const double* weights);
 
 }  // namespace score
 
@@ -456,9 +451,9 @@ inline constexpr size_t kScorePrefetchAhead = 8;
 
 /// Per-run scoring context: binds a PartitionState, the mode, the scratch
 /// buffers (candidate scores, intersection words) and the decision
-/// counters; enables the replica bit index when batched or simd (kSimd
-/// resolves its ISA tier once, at construction). Flushes
-/// partition.score.* on destruction.
+/// counters; under kFast it enables the replica bit index and resolves
+/// the kernel tier once, at construction. Flushes partition.score.* on
+/// destruction.
 class ScoreCore {
  public:
   ScoreCore(PartitionState& state, ScoreMode mode);
@@ -489,14 +484,13 @@ class ScoreCore {
     ++stats_.batches;
     const PartitionId k = state_.k();
     stats_.candidates += static_cast<uint64_t>(chunk.size()) * k;
-    if (mode_ == ScoreMode::kScalar) {
+    if (mode_ == ScoreMode::kReference) {
       for (const StreamEdge& e : chunk) {
         place(e, PlaceHdrfEdgeScalar(e.src, e.dst, lambda, stats));
       }
       return;
     }
-    const bool simd = mode_ == ScoreMode::kSimd;
-    if (simd) stats_.simd_picks += static_cast<uint64_t>(chunk.size());
+    stats_.simd_picks += static_cast<uint64_t>(chunk.size());
     ReplicaState& replicas = state_.replicas();
     const double* effective = state_.effective().data();
     const uint64_t* loads = state_.loads().data();
@@ -524,18 +518,10 @@ class ScoreCore {
       const double theta_v = 1.0 - theta_u;
       double max_load, spread;
       score::EffectiveSpread(effective, k, &max_load, &spread);
-      const PartitionId best =
-          simd ? score::HdrfPickSimd(
-                     tier_, k, effective, loads,
-                     {replicas.RowWords(u), nullptr},
-                     {replicas.RowWords(v), nullptr}, theta_u, theta_v,
-                     lambda, max_load, spread, scores_.data(),
-                     &stats_.bitset_hits)
-               : score::HdrfPickBatched(
-                     k, effective, loads, {replicas.RowWords(u), nullptr},
-                     {replicas.RowWords(v), nullptr}, theta_u, theta_v,
-                     lambda, max_load, spread, &stats.tie_breaks,
-                     &stats_.bitset_hits);
+      const PartitionId best = score::HdrfPickFast(
+          tier_, k, effective, loads, {replicas.RowWords(u), nullptr},
+          {replicas.RowWords(v), nullptr}, theta_u, theta_v, lambda, max_load,
+          spread, &stats_.bitset_hits);
       state_.AddLoadUpdatingEffective(best);
       replicas.Add(u, best);
       replicas.Add(v, best);
@@ -570,11 +556,11 @@ class ScoreCore {
       stats_.candidates += stats_.bitset_hits - before;
       return t;
     };
-    // kSimd intentionally shares the batched path here: PGG scans sparse
+    // kFast runs the batched bit scans on every tier: PGG scans sparse
     // replica sets (≤ a handful of set bits), where the word-at-a-time
     // bit scan beats any dense k-lane sweep.
     for (size_t idx = 0; idx < chunk.size(); ++idx) {
-      if (mode_ != ScoreMode::kScalar &&
+      if (mode_ == ScoreMode::kFast &&
           idx + kScorePrefetchAhead < chunk.size()) {
         const StreamEdge& f = chunk[idx + kScorePrefetchAhead];
         __builtin_prefetch(replicas.RowWords(f.src), 1, 1);
@@ -584,7 +570,7 @@ class ScoreCore {
       const VertexId u = e.src;
       const VertexId v = e.dst;
       PartitionId target;
-      if (mode_ == ScoreMode::kScalar) {
+      if (mode_ == ScoreMode::kReference) {
         target = PickPggScalar(u, v, ext_degree(u), ext_degree(v));
       } else {
         const bool u_empty = replicas.Of(u).empty();
@@ -631,33 +617,21 @@ class ScoreCore {
                                const score::GreedyObjective& objective,
                                uint64_t* tie_breaks) {
     stats_.candidates += state_.k();
-    if (mode_ == ScoreMode::kScalar) {
+    if (mode_ == ScoreMode::kReference) {
       return score::GreedyPickScalar(
           state_.k(), neighbor_counts, state_.loads().data(),
           state_.weights().data(), state_.capacities().data(), objective,
           tie_breaks);
     }
-    if (mode_ == ScoreMode::kSimd) {
-      if (objective.ldg || objective.sqrt_form) {
-        ++stats_.simd_picks;
-        return score::GreedyPickSimd(
-            tier_, state_.k(), neighbor_counts, state_.loads().data(),
-            state_.weights().data(), state_.capacities().data(), objective,
-            scores_.data());
-      }
-      // Pow-form FENNEL has no SIMD twin; route to the batched kernel.
-      // kSimd audits no ties, so the tie counter stays untouched.
+    if (objective.ldg || objective.sqrt_form) {
+      ++stats_.simd_picks;
+    } else {
       ++stats_.simd_fallbacks;
-      uint64_t unaudited_ties = 0;
-      return score::GreedyPickBatched(
-          state_.k(), neighbor_counts, state_.loads().data(),
-          state_.weights().data(), state_.capacities().data(), objective,
-          scores_.data(), &unaudited_ties);
     }
-    return score::GreedyPickBatched(
-        state_.k(), neighbor_counts, state_.loads().data(),
+    return score::GreedyPickFast(
+        tier_, state_.k(), neighbor_counts, state_.loads().data(),
         state_.weights().data(), state_.capacities().data(), objective,
-        scores_.data(), tie_breaks);
+        scores_.data());
   }
 
   /// Ginger (Equation 8) pick over caller-materialized combined loads.
@@ -666,49 +640,42 @@ class ScoreCore {
                                double combined_capacity, double alpha,
                                double gamma, uint64_t* tie_breaks) {
     stats_.candidates += state_.k();
-    if (mode_ == ScoreMode::kScalar) {
+    if (mode_ == ScoreMode::kReference) {
       return score::GingerPickScalar(state_.k(), neighbor_counts,
                                      combined_loads, combined_capacity,
                                      alpha, gamma, tie_breaks);
     }
-    if (mode_ == ScoreMode::kSimd) {
-      ++stats_.simd_picks;
-      return score::GingerPickSimd(tier_, state_.k(), neighbor_counts,
-                                   combined_loads, combined_capacity, alpha,
-                                   gamma, scores_.data());
-    }
-    return score::GingerPickBatched(state_.k(), neighbor_counts,
-                                    combined_loads, combined_capacity, alpha,
-                                    gamma, scores_.data(), tie_breaks);
+    ++stats_.simd_picks;
+    return score::GingerPickFast(tier_, state_.k(), neighbor_counts,
+                                 combined_loads, combined_capacity, alpha,
+                                 gamma, scores_.data());
   }
 
   /// Edge-stream greedy placement rule: least effectively-loaded
   /// partition with room, 0 when all are full.
   PartitionId PickLeastLoadedWithRoom() {
     stats_.candidates += state_.k();
-    if (mode_ == ScoreMode::kSimd) {
-      ++stats_.simd_picks;
-      return score::LeastLoadedWithRoomSimd(
-          tier_, state_.k(), state_.loads().data(), state_.weights().data(),
-          state_.capacities().data(), scores_.data());
+    if (mode_ == ScoreMode::kReference) {
+      return score::LeastLoadedWithRoom(state_.k(), state_.loads().data(),
+                                        state_.weights().data(),
+                                        state_.capacities().data());
     }
-    return score::LeastLoadedWithRoom(state_.k(), state_.loads().data(),
-                                      state_.weights().data(),
-                                      state_.capacities().data());
+    ++stats_.simd_picks;
+    return score::LeastLoadedWithRoomFast(
+        tier_, state_.k(), state_.loads().data(), state_.weights().data(),
+        state_.capacities().data());
   }
 
   /// All-at-capacity fallback: least effective load, no caps.
   PartitionId PickLeastLoadedAll() {
     stats_.candidates += state_.k();
-    if (mode_ == ScoreMode::kSimd) {
-      ++stats_.simd_picks;
-      return score::LeastLoadedAllSimd(tier_, state_.k(),
-                                       state_.loads().data(),
-                                       state_.weights().data(),
-                                       scores_.data());
+    if (mode_ == ScoreMode::kReference) {
+      return score::LeastLoadedAll(state_.k(), state_.loads().data(),
+                                   state_.weights().data());
     }
-    return score::LeastLoadedAll(state_.k(), state_.loads().data(),
-                                 state_.weights().data());
+    ++stats_.simd_picks;
+    return score::LeastLoadedAllFast(tier_, state_.k(), state_.loads().data(),
+                                     state_.weights().data());
   }
 
  private:
@@ -717,7 +684,7 @@ class ScoreCore {
 
   PartitionState& state_;
   ScoreMode mode_;
-  score::SimdTier tier_ = score::SimdTier::kPortable;  // kSimd only
+  score::KernelTier tier_ = score::KernelTier::kBatched;  // kFast only
   ScoreCoreStats stats_;
   std::vector<double> scores_;        // batched candidate scores, size k
   std::vector<uint64_t> inter_words_; // intersection scratch, ceil(k/64)

@@ -1,191 +1,76 @@
-#include <bit>
-#include <cmath>
 #include <cstdlib>
 
 #include "partition/score_simd_internal.h"
 
-// ScoreMode::kSimd — ISA dispatch plus the portable `#pragma omp simd`
-// twin of the AVX2 kernels (score_simd_avx2.cc). The portable shape is
-// materialize-then-argmax: an elementwise vectorizable scoring loop into
-// the `scores` scratch (every expression textually identical to the
-// kBatched loops of score_core.h, so the doubles are bit-identical), then
-// a sequential full-lexicographic reduction. This unit is compiled with
-// -fopenmp-simd only — no arch flags — so it runs anywhere; without
-// OpenMP-SIMD support the pragmas are ignored and the loops stay scalar,
-// which changes nothing but speed.
+// ScoreMode::kFast kernel dispatch: picks the AVX2 kernels
+// (score_simd_avx2.cc) when the CPU has them and the
+// SGP_FORCE_SCALAR_DISPATCH override is unset, and the batched kernels of
+// score_core.h otherwise. Both tiers select identically.
 
 namespace sgp::score {
 
 namespace {
 
-constexpr double kPosInf = std::numeric_limits<double>::infinity();
-
-PartitionId HdrfPickPortable(PartitionId k, const double* effective,
-                             const uint64_t* loads, MembershipRow u_row,
-                             MembershipRow v_row, double gain_u, double gain_v,
-                             double lambda, double max_load, double spread,
-                             double* scores, uint64_t* bitset_hits) {
-  uint64_t hits = 0;
-  for (PartitionId blk = 0; blk < k; blk += 64) {
-    const uint64_t wu = RowWord(u_row, blk >> 6);
-    const uint64_t wv = RowWord(v_row, blk >> 6);
-    const PartitionId lim = k < blk + 64 ? k : blk + 64;
-    const uint64_t mask = lim - blk == 64
-                              ? ~uint64_t{0}
-                              : (uint64_t{1} << (lim - blk)) - 1;
-    hits += static_cast<uint64_t>(std::popcount(wu & mask)) +
-            static_cast<uint64_t>(std::popcount(wv & mask));
-#pragma omp simd
-    for (PartitionId i = blk; i < lim; ++i) {
-      const double bu = static_cast<double>((wu >> (i - blk)) & 1u);
-      const double bv = static_cast<double>((wv >> (i - blk)) & 1u);
-      const double g = bu * gain_u + bv * gain_v;
-      scores[i] = g + lambda * (max_load - effective[i]) / spread;
-    }
-  }
-  *bitset_hits += hits;
-  LexBestU64 best;
-  for (PartitionId i = 0; i < k; ++i) MergeU64(&best, scores[i], loads[i], i);
-  return best.index;
-}
-
-PartitionId GreedyPickPortable(PartitionId k, const uint32_t* neighbor_counts,
-                               const uint64_t* loads, const double* weights,
-                               const double* capacity,
-                               const GreedyObjective& obj, double* scores) {
-  if (obj.ldg) {
-#pragma omp simd
-    for (PartitionId i = 0; i < k; ++i) {
-      const double size = static_cast<double>(loads[i]);
-      const double sc =
-          static_cast<double>(neighbor_counts[i]) * (1.0 - size / capacity[i]);
-      scores[i] = size + 1.0 > capacity[i] ? kNegInf : sc;
-    }
-  } else {
-    // obj.alpha * obj.gamma * load associates left, so hoisting the
-    // product keeps the doubles bit-identical to GreedyScore.
-    const double ag = obj.alpha * obj.gamma;
-#pragma omp simd
-    for (PartitionId i = 0; i < k; ++i) {
-      const double size = static_cast<double>(loads[i]);
-      const double sc = static_cast<double>(neighbor_counts[i]) -
-                        ag * std::sqrt(size / weights[i]);
-      scores[i] = size + 1.0 > capacity[i] ? kNegInf : sc;
-    }
-  }
-  LexBestU64 best;
-  for (PartitionId i = 0; i < k; ++i) MergeU64(&best, scores[i], loads[i], i);
-  // −inf only arises from capacity masking (all inputs finite), so it
-  // signals every partition full — the scalar path's kInvalidPartition.
-  return best.score == kNegInf ? kInvalidPartition : best.index;
-}
-
-PartitionId GingerPickPortable(PartitionId k, const uint32_t* neighbor_counts,
-                               const double* combined_loads,
-                               double combined_capacity, double alpha,
-                               double gamma, double* scores) {
-  const double ag = alpha * gamma;
-#pragma omp simd
-  for (PartitionId i = 0; i < k; ++i) {
-    const double load = combined_loads[i];
-    const double sc =
-        static_cast<double>(neighbor_counts[i]) - ag * std::sqrt(load);
-    scores[i] = load >= combined_capacity ? kNegInf : sc;
-  }
-  LexBestF64 best;
-  for (PartitionId i = 0; i < k; ++i) {
-    MergeF64(&best, scores[i], combined_loads[i], i);
-  }
-  return best.score == kNegInf ? kInvalidPartition : best.index;
-}
-
-PartitionId LeastLoadedWithRoomPortable(PartitionId k, const uint64_t* loads,
-                                        const double* weights,
-                                        const double* capacity,
-                                        double* scores) {
-#pragma omp simd
-  for (PartitionId i = 0; i < k; ++i) {
-    const double size = static_cast<double>(loads[i]);
-    scores[i] = size + 1.0 > capacity[i] ? kPosInf : size / weights[i];
-  }
-  LexMin best;
-  for (PartitionId i = 0; i < k; ++i) MergeMin(&best, scores[i], i);
-  // All at capacity leaves every effective load +inf → partition 0, the
-  // LeastLoadedWithRoom fallback.
-  return best.eff == kPosInf ? 0 : best.index;
-}
-
-PartitionId LeastLoadedAllPortable(PartitionId k, const uint64_t* loads,
-                                   const double* weights, double* scores) {
-#pragma omp simd
-  for (PartitionId i = 0; i < k; ++i) {
-    scores[i] = static_cast<double>(loads[i]) / weights[i];
-  }
-  LexMin best;
-  for (PartitionId i = 0; i < k; ++i) MergeMin(&best, scores[i], i);
-  return best.index;
-}
-
-bool UseAvx2(SimdTier tier) {
-  // A forced kAvx2 degrades to portable when the CPU lacks it, so the
+bool UseAvx2(KernelTier tier) {
+  // A forced kAvx2 degrades to batched when the CPU lacks it, so the
   // forced-dispatch tests can enumerate tiers unconditionally.
-  return tier == SimdTier::kAvx2 && avx2::Available();
+  return tier == KernelTier::kAvx2 && avx2::Available();
 }
 
 }  // namespace
 
-std::string_view SimdTierName(SimdTier tier) {
+std::string_view KernelTierName(KernelTier tier) {
   switch (tier) {
-    case SimdTier::kPortable:
-      return "portable";
-    case SimdTier::kAvx2:
+    case KernelTier::kBatched:
+      return "batched";
+    case KernelTier::kAvx2:
       return "avx2";
   }
   return "unknown";
 }
 
-bool SimdTierAvailable(SimdTier tier) {
-  return tier == SimdTier::kPortable || avx2::Available();
+bool KernelTierAvailable(KernelTier tier) {
+  return tier == KernelTier::kBatched || avx2::Available();
 }
 
-SimdTier ActiveSimdTier() {
+KernelTier ActiveKernelTier() {
   const char* force = std::getenv("SGP_FORCE_SCALAR_DISPATCH");
   if (force != nullptr && force[0] != '\0' &&
       !(force[0] == '0' && force[1] == '\0')) {
-    return SimdTier::kPortable;
+    return KernelTier::kBatched;
   }
-  return avx2::Available() ? SimdTier::kAvx2 : SimdTier::kPortable;
+  return avx2::Available() ? KernelTier::kAvx2 : KernelTier::kBatched;
 }
 
-PartitionId HdrfPickSimd(SimdTier tier, PartitionId k, const double* effective,
-                         const uint64_t* loads, MembershipRow u_row,
-                         MembershipRow v_row, double theta_u, double theta_v,
-                         double lambda, double max_load, double spread,
-                         double* scores, uint64_t* bitset_hits) {
-  const double gain_u = 1.0 + theta_v;  // g of replicating endpoint u
-  const double gain_v = 1.0 + theta_u;
+PartitionId HdrfPickFast(KernelTier tier, PartitionId k,
+                         const double* effective, const uint64_t* loads,
+                         MembershipRow u_row, MembershipRow v_row,
+                         double theta_u, double theta_v, double lambda,
+                         double max_load, double spread,
+                         uint64_t* bitset_hits) {
   if (UseAvx2(tier)) {
+    const double gain_u = 1.0 + theta_v;  // g of replicating endpoint u
+    const double gain_v = 1.0 + theta_u;
     return avx2::HdrfPick(k, effective, loads, u_row, v_row, gain_u, gain_v,
                           lambda, max_load, spread, bitset_hits);
   }
-  return HdrfPickPortable(k, effective, loads, u_row, v_row, gain_u, gain_v,
-                          lambda, max_load, spread, scores, bitset_hits);
+  return HdrfPickBatched(k, effective, loads, u_row, v_row, theta_u, theta_v,
+                         lambda, max_load, spread, bitset_hits);
 }
 
-PartitionId GreedyPickSimd(SimdTier tier, PartitionId k,
+PartitionId GreedyPickFast(KernelTier tier, PartitionId k,
                            const uint32_t* neighbor_counts,
                            const uint64_t* loads, const double* weights,
                            const double* capacity, const GreedyObjective& obj,
                            double* scores) {
-  SGP_CHECK(obj.ldg || obj.sqrt_form);  // pow-form falls back before here
-  if (UseAvx2(tier)) {
+  if (UseAvx2(tier) && (obj.ldg || obj.sqrt_form)) {
     return avx2::GreedyPick(k, neighbor_counts, loads, weights, capacity, obj);
   }
-  return GreedyPickPortable(k, neighbor_counts, loads, weights, capacity, obj,
-                            scores);
+  return GreedyPickBatched(k, neighbor_counts, loads, weights, capacity, obj,
+                           scores);
 }
 
-PartitionId GingerPickSimd(SimdTier tier, PartitionId k,
+PartitionId GingerPickFast(KernelTier tier, PartitionId k,
                            const uint32_t* neighbor_counts,
                            const double* combined_loads,
                            double combined_capacity, double alpha,
@@ -194,27 +79,26 @@ PartitionId GingerPickSimd(SimdTier tier, PartitionId k,
     return avx2::GingerPick(k, neighbor_counts, combined_loads,
                             combined_capacity, alpha, gamma);
   }
-  return GingerPickPortable(k, neighbor_counts, combined_loads,
-                            combined_capacity, alpha, gamma, scores);
+  return GingerPickBatched(k, neighbor_counts, combined_loads,
+                           combined_capacity, alpha, gamma, scores);
 }
 
-PartitionId LeastLoadedWithRoomSimd(SimdTier tier, PartitionId k,
+PartitionId LeastLoadedWithRoomFast(KernelTier tier, PartitionId k,
                                     const uint64_t* loads,
                                     const double* weights,
-                                    const double* capacity, double* scores) {
+                                    const double* capacity) {
   if (UseAvx2(tier)) {
     return avx2::LeastLoadedWithRoom(k, loads, weights, capacity);
   }
-  return LeastLoadedWithRoomPortable(k, loads, weights, capacity, scores);
+  return LeastLoadedWithRoom(k, loads, weights, capacity);
 }
 
-PartitionId LeastLoadedAllSimd(SimdTier tier, PartitionId k,
-                               const uint64_t* loads, const double* weights,
-                               double* scores) {
+PartitionId LeastLoadedAllFast(KernelTier tier, PartitionId k,
+                               const uint64_t* loads, const double* weights) {
   if (UseAvx2(tier)) {
     return avx2::LeastLoadedAll(k, loads, weights);
   }
-  return LeastLoadedAllPortable(k, loads, weights, scores);
+  return LeastLoadedAll(k, loads, weights);
 }
 
 }  // namespace sgp::score

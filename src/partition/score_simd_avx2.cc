@@ -1,6 +1,6 @@
 #include "partition/score_simd_internal.h"
 
-// AVX2 backend of the SIMD kernel tier. Compiled with -mavx2 only (no
+// AVX2 tier of the kFast kernels. Compiled with -mavx2 only (no
 // -mfma, so a*b+c cannot contract into FMA) plus -ffp-contract=off; every
 // arithmetic op below maps 1:1 onto an IEEE-exact instruction in the
 // exact order of the scalar reference, which is what makes the selections
@@ -28,6 +28,75 @@
 namespace sgp::score::avx2 {
 
 namespace {
+
+// Every helper of this unit lives in this anonymous namespace on purpose:
+// the unit is compiled with -mavx2, and any COMDAT-inline function it
+// emitted could be picked by the linker for every other caller, leaking
+// VEX-encoded code into builds that must run on pre-AVX hardware.
+// Internal linkage keeps this unit's copies local. For the same reason
+// the kernels re-derive the few scalar expressions they need (tail
+// elements, membership words) instead of calling the COMDAT-inline
+// helpers of score_core.h; the expressions are kept textually identical —
+// see the pairing comments.
+
+// Running lexicographic argmax over (score desc, load asc, index asc) —
+// the canonical tie-break. Used for the cross-lane/tail merges, where the
+// within-lane "keep the incumbent on full ties" shortcut is wrong because
+// lane winners' indices interleave.
+struct LexBestU64 {
+  double score = kNegInf;
+  uint64_t load = 0;
+  PartitionId index = kInvalidPartition;
+};
+
+inline void MergeU64(LexBestU64* b, double score, uint64_t load,
+                     PartitionId index) {
+  if (score > b->score ||
+      (score == b->score &&
+       (load < b->load || (load == b->load && index < b->index)))) {
+    b->score = score;
+    b->load = load;
+    b->index = index;
+  }
+}
+
+// Same, with double loads (Ginger's combined loads).
+struct LexBestF64 {
+  double score = kNegInf;
+  double load = 0;
+  PartitionId index = kInvalidPartition;
+};
+
+inline void MergeF64(LexBestF64* b, double score, double load,
+                     PartitionId index) {
+  if (score > b->score ||
+      (score == b->score &&
+       (load < b->load || (load == b->load && index < b->index)))) {
+    b->score = score;
+    b->load = load;
+    b->index = index;
+  }
+}
+
+// Running lexicographic argmin over (effective load asc, index asc) for
+// the least-loaded scans.
+struct LexMin {
+  double eff = std::numeric_limits<double>::infinity();
+  PartitionId index = kInvalidPartition;
+};
+
+inline void MergeMin(LexMin* b, double eff, PartitionId index) {
+  if (eff < b->eff || (eff == b->eff && index < b->index)) {
+    b->eff = eff;
+    b->index = index;
+  }
+}
+
+// Combined membership word without going through the COMDAT-inline
+// MembershipRow::Word (see above). Must stay textually identical.
+inline uint64_t RowWord(const MembershipRow& row, uint64_t w) {
+  return row.delta == nullptr ? row.base[w] : row.base[w] | row.delta[w];
+}
 
 // u64 → double, exact for values < 2^52: OR the value into the mantissa
 // of 2^52 and subtract 2^52.
@@ -371,7 +440,7 @@ PartitionId LeastLoadedAll(PartitionId k, const uint64_t* loads,
 #else  // !(defined(__x86_64__) && defined(__AVX2__))
 
 // Non-x86-64 (or a toolchain without AVX2 support): the dispatcher sees
-// Available() == false and routes every pick to the portable tier; the
+// Available() == false and routes every pick to the batched tier; the
 // kernel stubs are unreachable.
 
 namespace sgp::score::avx2 {

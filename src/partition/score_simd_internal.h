@@ -5,77 +5,10 @@
 
 #include "partition/score_core.h"
 
-// Internal interface between the ISA-dispatching SIMD tier
-// (score_simd.cc) and its AVX2 backend (score_simd_avx2.cc). Everything
-// here is `static inline` on purpose: the AVX2 unit is compiled with
-// -mavx2, and any COMDAT-inline function it emitted could be picked by
-// the linker for every other caller, leaking VEX-encoded code into
-// builds that must run on pre-AVX hardware. Internal linkage keeps each
-// unit's copy local. For the same reason the AVX2 backend re-derives the
-// few scalar expressions it needs (tail elements, membership words)
-// instead of calling the COMDAT-inline helpers of score_core.h; the
-// expressions are kept textually identical — see the pairing comments.
+// Internal interface between the kFast kernel dispatch (score_simd.cc)
+// and its AVX2 backend (score_simd_avx2.cc).
 
 namespace sgp::score {
-
-// Running lexicographic argmax over (score desc, load asc, index asc) —
-// the canonical tie-break. Used for the cross-lane/tail merges, where the
-// within-lane "keep the incumbent on full ties" shortcut is wrong because
-// lane winners' indices interleave.
-struct LexBestU64 {
-  double score = kNegInf;
-  uint64_t load = 0;
-  PartitionId index = kInvalidPartition;
-};
-
-static inline void MergeU64(LexBestU64* b, double score, uint64_t load,
-                            PartitionId index) {
-  if (score > b->score ||
-      (score == b->score &&
-       (load < b->load || (load == b->load && index < b->index)))) {
-    b->score = score;
-    b->load = load;
-    b->index = index;
-  }
-}
-
-// Same, with double loads (Ginger's combined loads).
-struct LexBestF64 {
-  double score = kNegInf;
-  double load = 0;
-  PartitionId index = kInvalidPartition;
-};
-
-static inline void MergeF64(LexBestF64* b, double score, double load,
-                            PartitionId index) {
-  if (score > b->score ||
-      (score == b->score &&
-       (load < b->load || (load == b->load && index < b->index)))) {
-    b->score = score;
-    b->load = load;
-    b->index = index;
-  }
-}
-
-// Running lexicographic argmin over (effective load asc, index asc) for
-// the least-loaded scans.
-struct LexMin {
-  double eff = std::numeric_limits<double>::infinity();
-  PartitionId index = kInvalidPartition;
-};
-
-static inline void MergeMin(LexMin* b, double eff, PartitionId index) {
-  if (eff < b->eff || (eff == b->eff && index < b->index)) {
-    b->eff = eff;
-    b->index = index;
-  }
-}
-
-// Combined membership word without going through the COMDAT-inline
-// MembershipRow::Word (see file comment). Must stay textually identical.
-static inline uint64_t RowWord(const MembershipRow& row, uint64_t w) {
-  return row.delta == nullptr ? row.base[w] : row.base[w] | row.delta[w];
-}
 
 // AVX2 backend. On non-x86-64 builds these are stubs with
 // Available() == false; the dispatcher never calls a stub kernel.

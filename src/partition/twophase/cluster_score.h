@@ -16,13 +16,14 @@ namespace twophase {
 /// final pass-1 degrees instead of partial streaming degrees. On top of
 /// the pick it enforces the Equation (1) hard caps: a full winner falls
 /// back to the least effectively-loaded partition with room (the same
-/// scalar scan in every mode, so all modes stay bit-identical).
+/// scalar scan in both modes, so they stay bit-identical).
 ///
-/// Batched mode ORs the cluster home into the membership word via
-/// MembershipRow's delta slot (a precomputed one-hot row per partition);
-/// scalar mode computes the same bits with Contains-or-home probes. The
-/// floating-point expressions are textually identical to
-/// score::HdrfPickBatched, so the two modes agree to the last tie-break.
+/// kFast ORs the cluster home into the membership word via
+/// MembershipRow's delta slot (a precomputed one-hot row per partition)
+/// and sweeps with score::HdrfPickFast; kReference computes the same bits
+/// with Contains-or-home probes. The floating-point expressions are
+/// textually identical to score::HdrfPickBatched, so the two modes agree
+/// to the last tie-break.
 class ClusterScorer {
  public:
   /// `state` must have capacities, effective loads and replica sets
@@ -38,10 +39,7 @@ class ClusterScorer {
       onehot_[static_cast<uint64_t>(p) * words_ + (p >> 6)] =
           uint64_t{1} << (p & 63);
     }
-    if (core.mode() == ScoreMode::kSimd) {
-      tier_ = score::ActiveSimdTier();
-      scores_.assign(k, 0.0);
-    }
+    if (core.mode() == ScoreMode::kFast) tier_ = score::ActiveKernelTier();
   }
 
   /// Membership-delta row for a cluster home (the all-zero row when the
@@ -67,20 +65,15 @@ class ClusterScorer {
     double max_load, spread;
     score::EffectiveSpread(effective, k, &max_load, &spread);
     PartitionId best;
-    if (core_.mode() == ScoreMode::kScalar) {
+    if (core_.mode() == ScoreMode::kReference) {
       best = PickScalar(u, v, home_u, home_v, theta_u, theta_v, max_load,
                         spread, &stats.tie_breaks);
-    } else if (core_.mode() == ScoreMode::kSimd) {
+    } else {
       ++core_.stats().simd_picks;
-      best = score::HdrfPickSimd(
+      best = score::HdrfPickFast(
           tier_, k, effective, loads, {replicas.RowWords(u), RowFor(home_u)},
           {replicas.RowWords(v), RowFor(home_v)}, theta_u, theta_v, lambda_,
-          max_load, spread, scores_.data(), &core_.stats().bitset_hits);
-    } else {
-      best = score::HdrfPickBatched(
-          k, effective, loads, {replicas.RowWords(u), RowFor(home_u)},
-          {replicas.RowWords(v), RowFor(home_v)}, theta_u, theta_v, lambda_,
-          max_load, spread, &stats.tie_breaks, &core_.stats().bitset_hits);
+          max_load, spread, &core_.stats().bitset_hits);
     }
     if (!state_.HasRoom(best)) {
       best = score::LeastLoadedWithRoom(k, loads, state_.weights().data(),
@@ -97,7 +90,7 @@ class ClusterScorer {
   }
 
  private:
-  // Reference twin of the batched pick: per-candidate Contains-or-home
+  // Reference twin of the kFast pick: per-candidate Contains-or-home
   // probes, every floating-point expression textually identical.
   PartitionId PickScalar(VertexId u, VertexId v, PartitionId home_u,
                          PartitionId home_v, double theta_u, double theta_v,
@@ -132,10 +125,9 @@ class ClusterScorer {
   PartitionState& state_;
   ScoreCore& core_;
   double lambda_;
-  score::SimdTier tier_ = score::SimdTier::kPortable;  // kSimd only
+  score::KernelTier tier_ = score::KernelTier::kBatched;  // kFast only
   uint64_t words_ = 0;
   std::vector<uint64_t> onehot_;
-  std::vector<double> scores_;  // kSimd portable-tier scratch
 };
 
 }  // namespace twophase

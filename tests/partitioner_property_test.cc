@@ -2,12 +2,14 @@
 // every graph family, for several partition counts (DESIGN.md §4).
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include <gtest/gtest.h>
 #include "graph/datasets.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
+#include "tests/test_util.h"
 
 namespace sgp {
 namespace {
@@ -93,11 +95,11 @@ TEST_P(PartitionerPropertyTest, ReportsSynopsisAndChunkInvariance) {
   EXPECT_GT(chunked.state_bytes, 0u);
 }
 
-// Scalar, batched and simd scoring must agree byte-for-byte at awkward
-// k — non-power-of-two, one membership word ± one (the simd tail and
-// partial-word regime), and the multi-word regime where the bit-packed
-// loops handle partial tail words — for every algorithm, with and
-// without heterogeneous capacities.
+// Reference and fast scoring, on both kernel tiers, must agree
+// byte-for-byte at awkward k — non-power-of-two, one membership word ± one
+// (the AVX2 tail and partial-word regime), and the multi-word regime
+// where the bit-packed loops handle partial tail words — for every
+// algorithm, with and without heterogeneous capacities.
 TEST_P(PartitionerPropertyTest, ScoreModesAgreeAtAwkwardK) {
   const auto& [algo, dataset, base_k] = GetParam();
   // The sweep replaces the suite's k values; run it once per algo/dataset.
@@ -115,18 +117,18 @@ TEST_P(PartitionerPropertyTest, ScoreModesAgreeAtAwkwardK) {
           cfg.capacity_weights[i] = 1.0 + 0.5 * (i % 4);
         }
       }
-      cfg.score_mode = ScoreMode::kScalar;
-      Partitioning scalar = partitioner->Run(g, cfg);
-      for (ScoreMode mode : {ScoreMode::kBatched, ScoreMode::kSimd}) {
-        cfg.score_mode = mode;
+      cfg.score_mode = ScoreMode::kReference;
+      Partitioning reference = partitioner->Run(g, cfg);
+      cfg.score_mode = ScoreMode::kFast;
+      testing::ForEachDispatchTier([&](std::string_view tier) {
         Partitioning fast = partitioner->Run(g, cfg);
-        EXPECT_EQ(scalar.vertex_to_partition, fast.vertex_to_partition)
+        EXPECT_EQ(reference.vertex_to_partition, fast.vertex_to_partition)
             << algo << " k=" << k << (hetero ? " hetero" : " plain")
-            << " mode=" << ScoreModeName(mode);
-        EXPECT_EQ(scalar.edge_to_partition, fast.edge_to_partition)
+            << " tier=" << tier;
+        EXPECT_EQ(reference.edge_to_partition, fast.edge_to_partition)
             << algo << " k=" << k << (hetero ? " hetero" : " plain")
-            << " mode=" << ScoreModeName(mode);
-      }
+            << " tier=" << tier;
+      });
     }
   }
 }

@@ -1,14 +1,16 @@
 // ScoreCore suite: the bit-packed membership structures, the batched and
-// SIMD scoring kernels against their scalar references, and end-to-end
-// scalar-vs-batched-vs-simd equivalence for every partitioner family —
+// AVX2 scoring kernels against their scalar references, and end-to-end
+// reference-vs-fast equivalence for every partitioner family —
 // sequential, sharded parallel, and the vertex-discovering ingest path.
-// The faster modes are only allowed to be faster, never different
-// (DESIGN.md §Score core). The SIMD sweeps run on every ISA tier the
-// host supports (the portable omp-simd twin always, AVX2 when present),
-// so one test binary pins tier-vs-tier agreement too.
+// The fast mode is only allowed to be faster, never different
+// (DESIGN.md §Score core). The kernel sweeps run on every tier the host
+// supports (the batched kernels always, AVX2 when present), and the
+// end-to-end checks run kFast on both the hardware tier and the forced
+// batched tier, so one test binary pins tier-vs-tier agreement too.
 #include <cstdint>
 #include <cstdlib>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,20 +19,23 @@
 #include "partition/edgecut/parallel_streaming.h"
 #include "partition/partitioner.h"
 #include "partition/score_core.h"
-#include "partition/stream_ingest.h"
 #include "partition/vertexcut/replica_state.h"
 #include "stream/source.h"
+#include "tests/test_util.h"
 
 namespace sgp {
 namespace {
 
-// Every ISA tier the host can execute: kPortable always, kAvx2 when the
+using testing::ForEachDispatchTier;
+using testing::ScopedDispatchOverride;
+
+// Every kernel tier the host can execute: kBatched always, kAvx2 when the
 // CPU has it. Forcing an unavailable tier is also legal (the kernels
-// degrade to portable), so the sweeps exercise both enumerated tiers.
-std::vector<score::SimdTier> AvailableTiers() {
-  std::vector<score::SimdTier> tiers = {score::SimdTier::kPortable};
-  if (score::SimdTierAvailable(score::SimdTier::kAvx2)) {
-    tiers.push_back(score::SimdTier::kAvx2);
+// degrade to batched), so the sweeps exercise both enumerated tiers.
+std::vector<score::KernelTier> AvailableTiers() {
+  std::vector<score::KernelTier> tiers = {score::KernelTier::kBatched};
+  if (score::KernelTierAvailable(score::KernelTier::kAvx2)) {
+    tiers.push_back(score::KernelTier::kAvx2);
   }
   return tiers;
 }
@@ -190,15 +195,15 @@ TEST(ScoreKernelTest, GreedyBatchedMatchesScalar) {
         obj.alpha = 1.25;
         obj.gamma = 1.5;
         obj.sqrt_form = true;
-        uint64_t ties_a = 0, ties_b = 0;
+        uint64_t ties = 0;
         const PartitionId a =
             score::GreedyPickScalar(k, counts.data(), loads.data(),
                                     weights.data(), capacity.data(), obj,
-                                    &ties_a);
+                                    &ties);
         const PartitionId b =
             score::GreedyPickBatched(k, counts.data(), loads.data(),
                                      weights.data(), capacity.data(), obj,
-                                     scores.data(), &ties_b);
+                                     scores.data());
         ASSERT_EQ(a, b) << "k=" << k << " trial=" << trial << " ldg=" << ldg;
       }
     }
@@ -216,12 +221,11 @@ TEST(ScoreKernelTest, GingerBatchedMatchesScalar) {
         combined[i] = static_cast<double>(rng() % 10);
       }
       const double cap = static_cast<double>(rng() % 12);
-      uint64_t ties_a = 0, ties_b = 0;
+      uint64_t ties = 0;
       const PartitionId a = score::GingerPickScalar(
-          k, counts.data(), combined.data(), cap, 1.5, 1.5, &ties_a);
+          k, counts.data(), combined.data(), cap, 1.5, 1.5, &ties);
       const PartitionId b = score::GingerPickBatched(
-          k, counts.data(), combined.data(), cap, 1.5, 1.5, scores.data(),
-          &ties_b);
+          k, counts.data(), combined.data(), cap, 1.5, 1.5, scores.data());
       ASSERT_EQ(a, b) << "k=" << k << " trial=" << trial;
     }
   }
@@ -252,11 +256,11 @@ TEST(ScoreKernelTest, HdrfBatchedMatchesContainsProbes) {
       const double theta_u = 0.25, theta_v = 0.75, lambda = 1.1;
       double max_load, spread;
       score::EffectiveSpread(effective.data(), k, &max_load, &spread);
-      uint64_t ties = 0, hits = 0;
+      uint64_t hits = 0;
       const PartitionId got = score::HdrfPickBatched(
           k, effective.data(), loads.data(), {row_u.data(), nullptr},
           {row_v.data(), nullptr}, theta_u, theta_v, lambda, max_load,
-          spread, &ties, &hits);
+          spread, &hits);
       // Reference: the pre-refactor per-candidate probe loop.
       PartitionId best = 0;
       double best_score = score::kNegInf;
@@ -281,12 +285,12 @@ TEST(ScoreKernelTest, HdrfBatchedMatchesContainsProbes) {
 }
 
 // ---------------------------------------------------------------------
-// SIMD tier: randomized scalar-vs-batched-vs-simd sweeps at awkward k —
+// kFast dispatch: randomized reference-vs-fast sweeps at awkward k —
 // below one lane group, one word ± one, and the multi-word regime —
 // with and without heterogeneous capacities, on every available tier.
 // ---------------------------------------------------------------------
 
-TEST(ScoreKernelTest, GreedySimdMatchesScalarAtAwkwardK) {
+TEST(ScoreKernelTest, GreedyFastMatchesScalarAtAwkwardK) {
   std::mt19937_64 rng(17);
   for (PartitionId k : {3u, 63u, 64u, 65u, 128u}) {
     std::vector<uint32_t> counts(k);
@@ -313,20 +317,20 @@ TEST(ScoreKernelTest, GreedySimdMatchesScalarAtAwkwardK) {
             score::GreedyPickScalar(k, counts.data(), loads.data(),
                                     weights.data(), capacity.data(), obj,
                                     &ties);
-        for (score::SimdTier tier : AvailableTiers()) {
-          const PartitionId got = score::GreedyPickSimd(
+        for (score::KernelTier tier : AvailableTiers()) {
+          const PartitionId got = score::GreedyPickFast(
               tier, k, counts.data(), loads.data(), weights.data(),
               capacity.data(), obj, scores.data());
           ASSERT_EQ(got, want)
               << "k=" << k << " trial=" << trial << " ldg=" << ldg
-              << " tier=" << score::SimdTierName(tier);
+              << " tier=" << score::KernelTierName(tier);
         }
       }
     }
   }
 }
 
-TEST(ScoreKernelTest, GingerSimdMatchesScalarAtAwkwardK) {
+TEST(ScoreKernelTest, GingerFastMatchesScalarAtAwkwardK) {
   std::mt19937_64 rng(19);
   for (PartitionId k : {3u, 63u, 64u, 65u, 128u}) {
     std::vector<uint32_t> counts(k);
@@ -340,22 +344,22 @@ TEST(ScoreKernelTest, GingerSimdMatchesScalarAtAwkwardK) {
       uint64_t ties = 0;
       const PartitionId want = score::GingerPickScalar(
           k, counts.data(), combined.data(), cap, 1.5, 1.5, &ties);
-      for (score::SimdTier tier : AvailableTiers()) {
-        const PartitionId got = score::GingerPickSimd(
+      for (score::KernelTier tier : AvailableTiers()) {
+        const PartitionId got = score::GingerPickFast(
             tier, k, counts.data(), combined.data(), cap, 1.5, 1.5,
             scores.data());
         ASSERT_EQ(got, want) << "k=" << k << " trial=" << trial
-                             << " tier=" << score::SimdTierName(tier);
+                             << " tier=" << score::KernelTierName(tier);
       }
     }
   }
 }
 
-TEST(ScoreKernelTest, HdrfSimdMatchesBatchedAtAwkwardK) {
+TEST(ScoreKernelTest, HdrfFastMatchesBatchedAtAwkwardK) {
   std::mt19937_64 rng(23);
   for (PartitionId k : {3u, 63u, 64u, 65u, 128u}) {
     const uint64_t words = (static_cast<uint64_t>(k) + 63) / 64;
-    std::vector<double> effective(k), scores(k);
+    std::vector<double> effective(k);
     std::vector<uint64_t> loads(k);
     std::vector<uint64_t> row_u(words), row_v(words);
     for (int trial = 0; trial < 200; ++trial) {
@@ -375,33 +379,33 @@ TEST(ScoreKernelTest, HdrfSimdMatchesBatchedAtAwkwardK) {
       const double theta_u = 0.25, theta_v = 0.75, lambda = 1.1;
       double max_load, spread;
       score::EffectiveSpread(effective.data(), k, &max_load, &spread);
-      uint64_t ties = 0, want_hits = 0;
+      uint64_t want_hits = 0;
       const PartitionId want = score::HdrfPickBatched(
           k, effective.data(), loads.data(), {row_u.data(), nullptr},
           {row_v.data(), nullptr}, theta_u, theta_v, lambda, max_load,
-          spread, &ties, &want_hits);
-      for (score::SimdTier tier : AvailableTiers()) {
+          spread, &want_hits);
+      for (score::KernelTier tier : AvailableTiers()) {
         uint64_t got_hits = 0;
-        const PartitionId got = score::HdrfPickSimd(
+        const PartitionId got = score::HdrfPickFast(
             tier, k, effective.data(), loads.data(), {row_u.data(), nullptr},
             {row_v.data(), nullptr}, theta_u, theta_v, lambda, max_load,
-            spread, scores.data(), &got_hits);
+            spread, &got_hits);
         ASSERT_EQ(got, want) << "k=" << k << " trial=" << trial
-                             << " tier=" << score::SimdTierName(tier);
+                             << " tier=" << score::KernelTierName(tier);
         // The popcount accounting must be ISA-independent too.
         ASSERT_EQ(got_hits, want_hits)
             << "k=" << k << " trial=" << trial
-            << " tier=" << score::SimdTierName(tier);
+            << " tier=" << score::KernelTierName(tier);
       }
     }
   }
 }
 
-TEST(ScoreKernelTest, LeastLoadedSimdMatchesScalarAtAwkwardK) {
+TEST(ScoreKernelTest, LeastLoadedFastMatchesScalarAtAwkwardK) {
   std::mt19937_64 rng(29);
   for (PartitionId k : {3u, 63u, 64u, 65u, 128u}) {
     std::vector<uint64_t> loads(k);
-    std::vector<double> weights(k), capacity(k), scores(k);
+    std::vector<double> weights(k), capacity(k);
     for (int trial = 0; trial < 200; ++trial) {
       const bool hetero = trial % 2 == 1;
       for (PartitionId i = 0; i < k; ++i) {
@@ -413,73 +417,71 @@ TEST(ScoreKernelTest, LeastLoadedSimdMatchesScalarAtAwkwardK) {
           k, loads.data(), weights.data(), capacity.data());
       const PartitionId want_all =
           score::LeastLoadedAll(k, loads.data(), weights.data());
-      for (score::SimdTier tier : AvailableTiers()) {
-        ASSERT_EQ(score::LeastLoadedWithRoomSimd(tier, k, loads.data(),
+      for (score::KernelTier tier : AvailableTiers()) {
+        ASSERT_EQ(score::LeastLoadedWithRoomFast(tier, k, loads.data(),
                                                  weights.data(),
-                                                 capacity.data(),
-                                                 scores.data()),
+                                                 capacity.data()),
                   want_room)
             << "k=" << k << " trial=" << trial
-            << " tier=" << score::SimdTierName(tier);
-        ASSERT_EQ(score::LeastLoadedAllSimd(tier, k, loads.data(),
-                                            weights.data(), scores.data()),
+            << " tier=" << score::KernelTierName(tier);
+        ASSERT_EQ(score::LeastLoadedAllFast(tier, k, loads.data(),
+                                            weights.data()),
                   want_all)
             << "k=" << k << " trial=" << trial
-            << " tier=" << score::SimdTierName(tier);
+            << " tier=" << score::KernelTierName(tier);
       }
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// Runtime dispatch: the env override forces the portable tier, forcing
+// Runtime dispatch: the env override forces the batched tier, forcing
 // an unavailable tier degrades gracefully, and the end-to-end result is
 // tier-independent.
 // ---------------------------------------------------------------------
 
-TEST(SimdDispatchTest, EnvOverrideForcesPortableTier) {
-  ASSERT_TRUE(score::SimdTierAvailable(score::SimdTier::kPortable));
-  setenv("SGP_FORCE_SCALAR_DISPATCH", "1", 1);
-  EXPECT_EQ(score::ActiveSimdTier(), score::SimdTier::kPortable);
-  // "0" and empty mean "not forced".
-  setenv("SGP_FORCE_SCALAR_DISPATCH", "0", 1);
-  const score::SimdTier unforced = score::ActiveSimdTier();
-  unsetenv("SGP_FORCE_SCALAR_DISPATCH");
-  EXPECT_EQ(score::ActiveSimdTier(), unforced);
+TEST(KernelDispatchTest, EnvOverrideForcesBatchedTier) {
+  ASSERT_TRUE(score::KernelTierAvailable(score::KernelTier::kBatched));
+  score::KernelTier unforced;
+  {
+    ScopedDispatchOverride scoped("1");
+    EXPECT_EQ(score::ActiveKernelTier(), score::KernelTier::kBatched);
+  }
+  {
+    // "0" and empty mean "not forced".
+    ScopedDispatchOverride scoped("0");
+    unforced = score::ActiveKernelTier();
+  }
+  {
+    ScopedDispatchOverride scoped(nullptr);
+    EXPECT_EQ(score::ActiveKernelTier(), unforced);
+  }
   // Unforced dispatch picks the widest available tier.
-  if (score::SimdTierAvailable(score::SimdTier::kAvx2)) {
-    EXPECT_EQ(unforced, score::SimdTier::kAvx2);
+  if (score::KernelTierAvailable(score::KernelTier::kAvx2)) {
+    EXPECT_EQ(unforced, score::KernelTier::kAvx2);
   } else {
-    EXPECT_EQ(unforced, score::SimdTier::kPortable);
+    EXPECT_EQ(unforced, score::KernelTier::kBatched);
   }
 }
 
-TEST(SimdDispatchTest, ForcedTiersAgreeEndToEnd) {
-  // Force each enumerated tier through a full partitioner run — including
-  // kAvx2 on hosts without AVX2, where the kernels must fall back to the
-  // portable twin rather than fault — and require identical assignments.
+TEST(KernelDispatchTest, ForcedTiersAgreeEndToEnd) {
+  // Run kFast through a full partitioner run on the forced batched tier
+  // and on the hardware tier, and require the reference assignments.
   const Graph g = MakeDataset("twitter", 9);
   for (const char* algo : {"HDRF", "FNL", "HG"}) {
     PartitionConfig cfg;
     cfg.k = 65;
     cfg.seed = 7;
-    cfg.score_mode = ScoreMode::kBatched;
+    cfg.score_mode = ScoreMode::kReference;
     const Partitioning want = CreatePartitioner(algo)->Run(g, cfg);
-    cfg.score_mode = ScoreMode::kSimd;
-    const char* forced_values[] = {"1", nullptr};
-    for (const char* forced : forced_values) {
-      if (forced != nullptr) {
-        setenv("SGP_FORCE_SCALAR_DISPATCH", forced, 1);
-      } else {
-        unsetenv("SGP_FORCE_SCALAR_DISPATCH");
-      }
+    cfg.score_mode = ScoreMode::kFast;
+    ForEachDispatchTier([&](std::string_view tier) {
       Partitioning got = CreatePartitioner(algo)->Run(g, cfg);
       EXPECT_EQ(got.vertex_to_partition, want.vertex_to_partition)
-          << algo << " forced=" << (forced ? forced : "<unset>");
+          << algo << " tier=" << tier;
       EXPECT_EQ(got.edge_to_partition, want.edge_to_partition)
-          << algo << " forced=" << (forced ? forced : "<unset>");
-    }
-    unsetenv("SGP_FORCE_SCALAR_DISPATCH");
+          << algo << " tier=" << tier;
+    });
   }
 }
 
@@ -502,8 +504,8 @@ TEST(ScoreKernelTest, LeastLoadedOverBitsTiesTowardLowerId) {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: kScalar, kBatched and kSimd must produce byte-identical
-// partitionings for every registered partitioner.
+// End-to-end: kReference and kFast, on both dispatch tiers, must produce
+// byte-identical partitionings for every registered partitioner.
 // ---------------------------------------------------------------------
 
 TEST(ScoreModeEquivalenceTest, SequentialPartitioners) {
@@ -513,16 +515,16 @@ TEST(ScoreModeEquivalenceTest, SequentialPartitioners) {
       PartitionConfig cfg;
       cfg.k = k;
       cfg.seed = 42;
-      cfg.score_mode = ScoreMode::kScalar;
-      Partitioning scalar = CreatePartitioner(algo)->Run(g, cfg);
-      for (ScoreMode mode : {ScoreMode::kBatched, ScoreMode::kSimd}) {
-        cfg.score_mode = mode;
+      cfg.score_mode = ScoreMode::kReference;
+      Partitioning reference = CreatePartitioner(algo)->Run(g, cfg);
+      cfg.score_mode = ScoreMode::kFast;
+      ForEachDispatchTier([&](std::string_view tier) {
         Partitioning fast = CreatePartitioner(algo)->Run(g, cfg);
-        EXPECT_EQ(scalar.vertex_to_partition, fast.vertex_to_partition)
-            << algo << " k=" << k << " mode=" << ScoreModeName(mode);
-        EXPECT_EQ(scalar.edge_to_partition, fast.edge_to_partition)
-            << algo << " k=" << k << " mode=" << ScoreModeName(mode);
-      }
+        EXPECT_EQ(reference.vertex_to_partition, fast.vertex_to_partition)
+            << algo << " k=" << k << " tier=" << tier;
+        EXPECT_EQ(reference.edge_to_partition, fast.edge_to_partition)
+            << algo << " k=" << k << " tier=" << tier;
+      });
     }
   }
 }
@@ -539,22 +541,22 @@ TEST(ScoreModeEquivalenceTest, ShardedParallelDrivers) {
         ParallelStreamOptions options;
         options.num_streams = workers;
         options.sync_interval = 32;
-        cfg.score_mode = ScoreMode::kScalar;
-        ParallelStreamResult scalar =
+        cfg.score_mode = ScoreMode::kReference;
+        ParallelStreamResult reference =
             RunParallelStreaming(g, cfg, options, algo);
-        for (ScoreMode mode : {ScoreMode::kBatched, ScoreMode::kSimd}) {
-          cfg.score_mode = mode;
+        cfg.score_mode = ScoreMode::kFast;
+        ForEachDispatchTier([&](std::string_view tier) {
           ParallelStreamResult fast =
               RunParallelStreaming(g, cfg, options, algo);
-          EXPECT_EQ(scalar.partitioning.vertex_to_partition,
+          EXPECT_EQ(reference.partitioning.vertex_to_partition,
                     fast.partitioning.vertex_to_partition)
               << ParallelAlgoName(algo) << " w=" << workers << " k=" << k
-              << " mode=" << ScoreModeName(mode);
-          EXPECT_EQ(scalar.partitioning.edge_to_partition,
+              << " tier=" << tier;
+          EXPECT_EQ(reference.partitioning.edge_to_partition,
                     fast.partitioning.edge_to_partition)
               << ParallelAlgoName(algo) << " w=" << workers << " k=" << k
-              << " mode=" << ScoreModeName(mode);
-        }
+              << " tier=" << tier;
+        });
       }
     }
   }
@@ -569,26 +571,26 @@ TEST(ScoreModeEquivalenceTest, VertexDiscoveringIngest) {
     cfg.k = k;
     cfg.seed = 42;
     cfg.ingest_chunk_size = 64;
-    cfg.score_mode = ScoreMode::kScalar;
+    cfg.score_mode = ScoreMode::kReference;
     InMemoryEdgeSource source_a(g, StreamOrder::kRandom, cfg.seed,
                                 cfg.ingest_chunk_size);
-    StreamIngestResult scalar =
-        PartitionEdgeStream(source_a, StreamIngestAlgo::kHdrf, cfg);
-    ASSERT_TRUE(scalar.ok);
-    for (ScoreMode mode : {ScoreMode::kBatched, ScoreMode::kSimd}) {
-      cfg.score_mode = mode;
+    StreamRunResult reference =
+        CreatePartitioner("HDRF")->RunOnSource(source_a, cfg);
+    ASSERT_TRUE(reference.ok);
+    cfg.score_mode = ScoreMode::kFast;
+    ForEachDispatchTier([&](std::string_view tier) {
       InMemoryEdgeSource source_b(g, StreamOrder::kRandom, cfg.seed,
                                   cfg.ingest_chunk_size);
-      StreamIngestResult fast =
-          PartitionEdgeStream(source_b, StreamIngestAlgo::kHdrf, cfg);
+      StreamRunResult fast =
+          CreatePartitioner("HDRF")->RunOnSource(source_b, cfg);
       ASSERT_TRUE(fast.ok);
-      EXPECT_EQ(scalar.partitioning.edge_to_partition,
+      EXPECT_EQ(reference.partitioning.edge_to_partition,
                 fast.partitioning.edge_to_partition)
-          << "k=" << k << " mode=" << ScoreModeName(mode);
-      EXPECT_EQ(scalar.partitioning.vertex_to_partition,
+          << "k=" << k << " tier=" << tier;
+      EXPECT_EQ(reference.partitioning.vertex_to_partition,
                 fast.partitioning.vertex_to_partition)
-          << "k=" << k << " mode=" << ScoreModeName(mode);
-    }
+          << "k=" << k << " tier=" << tier;
+    });
   }
 }
 

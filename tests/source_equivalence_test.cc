@@ -11,7 +11,6 @@
 #include "graph/datasets.h"
 #include "graph/io.h"
 #include "partition/partitioner.h"
-#include "partition/stream_ingest.h"
 #include "stream/source.h"
 
 namespace sgp {
@@ -57,7 +56,7 @@ INSTANTIATE_TEST_SUITE_P(AllPartitioners, SourceEquivalenceTest,
                          [](const auto& info) { return info.param; });
 
 struct IngestCase {
-  const char* name;           // ParseStreamIngestAlgo spelling
+  const char* name;           // lower-case spelling, as the CLI accepts it
   const char* partitioner;    // registry code of the in-memory twin
 };
 
@@ -72,14 +71,13 @@ const IngestCase kIngestCases[] = {
 TEST(StreamIngestTest, MatchesMaterializedPartitioner) {
   Graph g = MakeDataset("usaroad", 10);
   for (const IngestCase& c : kIngestCases) {
-    StreamIngestAlgo algo;
-    ASSERT_TRUE(ParseStreamIngestAlgo(c.name, &algo));
+    ASSERT_NE(FindPartitionerInfo(c.name), nullptr) << c.name;
     PartitionConfig cfg;
     cfg.k = 4;
     cfg.seed = 42;
     cfg.order = StreamOrder::kNatural;  // the only order a disk stream has
     InMemoryEdgeSource source(g, StreamOrder::kNatural, cfg.seed);
-    StreamIngestResult r = PartitionEdgeStream(source, algo, cfg);
+    StreamRunResult r = CreatePartitioner(c.name)->RunOnSource(source, cfg);
     ASSERT_TRUE(r.ok) << c.name << ": " << r.error;
     EXPECT_EQ(r.num_edges, g.num_edges());
     EXPECT_EQ(r.num_vertices, g.num_vertices());
@@ -100,20 +98,20 @@ TEST(StreamIngestTest, DiskSourceMatchesInMemory) {
   TempFile file("source_equivalence_edges.txt");
   WriteEdgeListFile(g, file.path());
   for (const IngestCase& c : kIngestCases) {
-    StreamIngestAlgo algo;
-    ASSERT_TRUE(ParseStreamIngestAlgo(c.name, &algo));
+    ASSERT_NE(FindPartitionerInfo(c.name), nullptr) << c.name;
     PartitionConfig cfg;
     cfg.k = 4;
     cfg.seed = 42;
     InMemoryEdgeSource mem(g, StreamOrder::kNatural, cfg.seed);
-    StreamIngestResult expected = PartitionEdgeStream(mem, algo, cfg);
+    StreamRunResult expected =
+        CreatePartitioner(c.name)->RunOnSource(mem, cfg);
     ASSERT_TRUE(expected.ok);
     for (uint64_t chunk : {1ull, 7ull, 4096ull}) {
       EdgeListFileSource::Options opts;
       opts.chunk_size = chunk;
       EdgeListFileSource disk(file.path(), opts);
       ASSERT_TRUE(disk.ok()) << disk.error();
-      StreamIngestResult r = PartitionEdgeStream(disk, algo, cfg);
+      StreamRunResult r = CreatePartitioner(c.name)->RunOnSource(disk, cfg);
       ASSERT_TRUE(r.ok) << c.name << ": " << r.error;
       EXPECT_EQ(r.num_edges, expected.num_edges) << c.name;
       EXPECT_EQ(r.num_vertices, expected.num_vertices) << c.name;
@@ -160,8 +158,7 @@ TEST(StreamIngestTest, MissingFileReportsError) {
   EXPECT_FALSE(source.error().empty());
   PartitionConfig cfg;
   cfg.k = 4;
-  StreamIngestResult r =
-      PartitionEdgeStream(source, StreamIngestAlgo::kHashVertexCut, cfg);
+  StreamRunResult r = CreatePartitioner("VCR")->RunOnSource(source, cfg);
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.error.empty());
 }
@@ -285,8 +282,7 @@ TEST(StreamIngestTest, OutOfRangeIdFailsStream) {
   EdgeListFileSource source(file.path(), opts);
   PartitionConfig cfg;
   cfg.k = 2;
-  StreamIngestResult r =
-      PartitionEdgeStream(source, StreamIngestAlgo::kHashVertexCut, cfg);
+  StreamRunResult r = CreatePartitioner("VCR")->RunOnSource(source, cfg);
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.error.empty());
 }

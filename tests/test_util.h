@@ -1,12 +1,15 @@
 #ifndef SGP_TESTS_TEST_UTIL_H_
 #define SGP_TESTS_TEST_UTIL_H_
 
+#include <cstdlib>
 #include <initializer_list>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
 #include "partition/partitioning.h"
+#include "partition/score_core.h"
 
 namespace sgp::testing {
 
@@ -72,6 +75,46 @@ inline Partitioning MakeVertexCutPartitioning(
   p.edge_to_partition = std::move(edge_map);
   DeriveMasterPlacement(graph, &p);
   return p;
+}
+
+// Sets SGP_FORCE_SCALAR_DISPATCH to `value` (nullptr unsets it) for one
+// scope and restores the caller's setting afterwards, so a whole-binary
+// forced run (scripts/check.sh) stays forced outside the scope.
+class ScopedDispatchOverride {
+ public:
+  explicit ScopedDispatchOverride(const char* value) {
+    const char* old = std::getenv(kVar);
+    if (old != nullptr) saved_ = old;
+    had_value_ = old != nullptr;
+    Set(value);
+  }
+  ~ScopedDispatchOverride() { Set(had_value_ ? saved_.c_str() : nullptr); }
+
+  ScopedDispatchOverride(const ScopedDispatchOverride&) = delete;
+  ScopedDispatchOverride& operator=(const ScopedDispatchOverride&) = delete;
+
+ private:
+  static constexpr const char* kVar = "SGP_FORCE_SCALAR_DISPATCH";
+  static void Set(const char* value) {
+    if (value != nullptr) {
+      setenv(kVar, value, 1);
+    } else {
+      unsetenv(kVar);
+    }
+  }
+  std::string saved_;
+  bool had_value_ = false;
+};
+
+// Runs `body` once per kFast dispatch tier: the batched tier forced
+// through the override, then the hardware tier. `body` receives the tier
+// name for failure messages.
+template <typename Body>
+void ForEachDispatchTier(Body&& body) {
+  for (const char* forced : {"1", static_cast<const char*>(nullptr)}) {
+    ScopedDispatchOverride scoped(forced);
+    body(score::KernelTierName(score::ActiveKernelTier()));
+  }
 }
 
 }  // namespace sgp::testing
