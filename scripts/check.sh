@@ -37,7 +37,11 @@ echo "check.sh: telemetry_test + monitor_test passed standalone under sanitizers
 # it standalone under the sanitizers so a buffer-lifetime bug in a chunk
 # refill cannot hide behind a sharded ctest run either.
 "$BUILD_DIR/tests/source_equivalence_test"
-echo "check.sh: source_equivalence_test passed standalone under sanitizers"
+# The reader fuzz suite drives the block line splitter across refills and
+# buffer growth (block sizes down to 1 byte, lines past 1 MiB), where an
+# off-by-one reads outside the block; it gets the same standalone pass.
+"$BUILD_DIR/tests/reader_fuzz_test"
+echo "check.sh: source_equivalence_test + reader_fuzz_test passed standalone under sanitizers"
 
 # The live-resharding suite moves ownership state while queries are in
 # flight; run it and the drain-guard regressions standalone under the

@@ -1,7 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <numeric>
+#include <limits>
 
 #include "common/check.h"
 
@@ -48,48 +48,78 @@ Graph::Csr BuildCsr(VertexId n, size_t arc_count_hint, EmitFn&& emit) {
   return csr;
 }
 
-// Sorts each CSR row and removes duplicate targets within a row.
-void SortAndDedupeRows(VertexId n, Graph::Csr& csr) {
-  std::vector<VertexId> compact;
-  compact.reserve(csr.targets.size());
-  std::vector<uint64_t> new_offsets(static_cast<size_t>(n) + 1, 0);
-  for (VertexId u = 0; u < n; ++u) {
-    auto begin = csr.targets.begin() + static_cast<int64_t>(csr.offsets[u]);
-    auto end = csr.targets.begin() + static_cast<int64_t>(csr.offsets[u + 1]);
-    std::sort(begin, end);
-    auto last = std::unique(begin, end);
-    compact.insert(compact.end(), begin, last);
-    new_offsets[u + 1] = compact.size();
+// Marks the first occurrence of every edge, so that de-duplication keeps
+// the natural stream order. For undirected graphs an edge is identified by
+// its unordered endpoint pair. A stable counting sort groups edge indices
+// by canonical source; each bucket then lists its edges in insertion
+// order, so marking a target the first time its bucket reaches it keeps
+// exactly the first occurrence.
+std::vector<bool> FirstOccurrences(const std::vector<Edge>& edges,
+                                   VertexId n, bool directed) {
+  auto canonical = [directed](const Edge& e) -> Edge {
+    if (directed || e.src <= e.dst) return e;
+    return {e.dst, e.src};
+  };
+  SGP_CHECK(edges.size() <= std::numeric_limits<uint32_t>::max());
+  // bucket_end[u] starts as the first slot of u's bucket and ends, after
+  // the scatter, one past its last slot.
+  std::vector<uint64_t> bucket_end(static_cast<size_t>(n) + 1, 0);
+  for (const Edge& e : edges) ++bucket_end[canonical(e).src + 1];
+  for (size_t u = 1; u <= n; ++u) bucket_end[u] += bucket_end[u - 1];
+  std::vector<uint32_t> order(edges.size());
+  for (uint32_t i = 0; i < edges.size(); ++i) {
+    order[bucket_end[canonical(edges[i]).src]++] = i;
   }
-  csr.offsets = std::move(new_offsets);
-  csr.targets = std::move(compact);
+  std::vector<bool> keep(edges.size(), true);
+  std::vector<VertexId> last_seen(n, kInvalidVertex);
+  uint64_t begin = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    for (uint64_t j = begin; j < bucket_end[u]; ++j) {
+      VertexId& seen = last_seen[canonical(edges[order[j]]).dst];
+      if (seen == u) {
+        keep[order[j]] = false;
+      } else {
+        seen = u;
+      }
+    }
+    begin = bucket_end[u];
+  }
+  return keep;
+}
+
+// Returns the rows of `csr` sorted and free of duplicate targets, without
+// a comparison sort. The arc set must be symmetric, as the undirected
+// adjacency is: walking the rows in increasing vertex order t and
+// appending t to the row of each neighbour s fills every row in
+// increasing target order, so a duplicate is always the row's last entry.
+Graph::Csr SortSymmetricRows(VertexId n, const Graph::Csr& csr) {
+  Graph::Csr sorted;
+  sorted.targets.resize(csr.targets.size());
+  std::vector<uint64_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
+  for (VertexId t = 0; t < n; ++t) {
+    for (VertexId s : csr.Row(t)) {
+      uint64_t& next = cursor[s];
+      if (next > csr.offsets[s] && sorted.targets[next - 1] == t) continue;
+      sorted.targets[next++] = t;
+    }
+  }
+  // Close the gaps that dropped duplicates left at the row ends.
+  sorted.offsets.assign(static_cast<size_t>(n) + 1, 0);
+  auto out = sorted.targets.begin();
+  for (VertexId u = 0; u < n; ++u) {
+    out = std::copy(sorted.targets.begin() + csr.offsets[u],
+                    sorted.targets.begin() + cursor[u], out);
+    sorted.offsets[u + 1] = out - sorted.targets.begin();
+  }
+  sorted.targets.erase(out, sorted.targets.end());
+  return sorted;
 }
 
 }  // namespace
 
 Graph GraphBuilder::Finalize() && {
-  // De-duplicate while preserving first-occurrence order. For undirected
-  // graphs an edge is identified by its unordered endpoint pair.
-  auto canonical = [this](const Edge& e) -> Edge {
-    if (directed_ || e.src <= e.dst) return e;
-    return {e.dst, e.src};
-  };
-  std::vector<uint32_t> order(edges_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    Edge ea = canonical(edges_[a]);
-    Edge eb = canonical(edges_[b]);
-    if (ea.src != eb.src) return ea.src < eb.src;
-    if (ea.dst != eb.dst) return ea.dst < eb.dst;
-    return a < b;
-  });
-  std::vector<bool> keep(edges_.size(), true);
-  for (size_t i = 1; i < order.size(); ++i) {
-    if (canonical(edges_[order[i]]) == canonical(edges_[order[i - 1]])) {
-      keep[order[i]] = false;
-    }
-  }
-
+  const std::vector<bool> keep =
+      FirstOccurrences(edges_, num_vertices_, directed_);
   Graph g;
   g.num_vertices_ = num_vertices_;
   g.directed_ = directed_;
@@ -97,17 +127,20 @@ Graph GraphBuilder::Finalize() && {
   for (size_t i = 0; i < edges_.size(); ++i) {
     if (keep[i]) g.edges_.push_back(edges_[i]);
   }
-  edges_.clear();
+  edges_ = std::vector<Edge>();  // release before the CSR builds
 
   const VertexId n = num_vertices_;
-  // Undirected adjacency: both directions of every edge, then de-duplicated.
-  g.und_ = BuildCsr(n, g.edges_.size() * 2, [&](auto&& cb) {
-    for (const Edge& e : g.edges_) {
-      cb(e.src, e.dst);
-      cb(e.dst, e.src);
-    }
-  });
-  SortAndDedupeRows(n, g.und_);
+  // Undirected adjacency: both directions of every edge, then sorted and
+  // de-duplicated.
+  {
+    const Graph::Csr arcs = BuildCsr(n, g.edges_.size() * 2, [&](auto&& cb) {
+      for (const Edge& e : g.edges_) {
+        cb(e.src, e.dst);
+        cb(e.dst, e.src);
+      }
+    });
+    g.und_ = SortSymmetricRows(n, arcs);
+  }
 
   if (directed_) {
     g.out_ = BuildCsr(n, g.edges_.size(), [&](auto&& cb) {

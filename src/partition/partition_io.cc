@@ -6,21 +6,29 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "graph/io.h"
 #include "partition/metrics.h"
 
 namespace sgp {
 
 void WritePartitioning(const Partitioning& partitioning, std::ostream& out) {
-  out << "sgp-partitioning v1\n";
-  out << "model " << CutModelName(partitioning.model) << " k "
-      << partitioning.k << " vertices "
-      << partitioning.vertex_to_partition.size() << " edges "
-      << partitioning.edge_to_partition.size() << '\n';
+  BlockWriter writer(out);
+  writer.Append("sgp-partitioning v1\nmodel ")
+      .Append(CutModelName(partitioning.model))
+      .Append(" k ")
+      .AppendUint(partitioning.k)
+      .Append(" vertices ")
+      .AppendUint(partitioning.vertex_to_partition.size())
+      .Append(" edges ")
+      .AppendUint(partitioning.edge_to_partition.size())
+      .Append('\n');
   for (size_t v = 0; v < partitioning.vertex_to_partition.size(); ++v) {
-    out << "v " << v << ' ' << partitioning.vertex_to_partition[v] << '\n';
+    writer.Append("v ").AppendUint(v).Append(' ');
+    writer.AppendUint(partitioning.vertex_to_partition[v]).Append('\n');
   }
   for (size_t e = 0; e < partitioning.edge_to_partition.size(); ++e) {
-    out << "e " << e << ' ' << partitioning.edge_to_partition[e] << '\n';
+    writer.Append("e ").AppendUint(e).Append(' ');
+    writer.AppendUint(partitioning.edge_to_partition[e]).Append('\n');
   }
 }
 

@@ -92,10 +92,10 @@ EdgeListFileSource::EdgeListFileSource(const std::string& path,
 }
 
 void EdgeListFileSource::Reset() {
+  reader_.reset();
   in_.close();
   in_.clear();
   in_.open(path_);
-  line_number_ = 0;
   next_edge_id_ = 0;
   skipped_lines_ = 0;
   max_vertex_bound_ = 0;
@@ -106,6 +106,7 @@ void EdgeListFileSource::Reset() {
   }
   ok_ = true;
   error_.clear();
+  reader_.emplace(in_);
 }
 
 std::span<const StreamEdge> EdgeListFileSource::NextChunk() {
@@ -114,11 +115,11 @@ std::span<const StreamEdge> EdgeListFileSource::NextChunk() {
   buffer_.clear();
   const VertexId limit =
       options_.num_vertices != 0 ? options_.num_vertices : kInvalidVertex;
-  std::string line;
-  while (buffer_.size() < options_.chunk_size && std::getline(in_, line)) {
-    ++line_number_;
+  std::string_view line;
+  while (buffer_.size() < options_.chunk_size && reader_->Next(&line)) {
     Edge edge;
-    switch (ParseEdgeListLine(line, line_number_, limit, &edge, &error_)) {
+    switch (ParseEdgeListLine(line, reader_->line_number(), limit, &edge,
+                              &error_)) {
       case EdgeLineStatus::kIgnored:
         continue;
       case EdgeLineStatus::kSkipped:
@@ -138,6 +139,11 @@ std::span<const StreamEdge> EdgeListFileSource::NextChunk() {
     buffer_.push_back(StreamEdge{next_edge_id_++, edge.src, edge.dst});
     max_vertex_bound_ =
         std::max({max_vertex_bound_, edge.src + 1, edge.dst + 1});
+  }
+  if (reader_->read_error()) {
+    ok_ = false;
+    error_ = "cannot read edge list file: " + path_;
+    return {};
   }
   if (buffer_.empty()) return {};
   SourceMetrics& metrics = SourceMetrics::Get();

@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/io.h"
 #include "stream/stream.h"
 
 namespace sgp {
@@ -134,14 +136,16 @@ class InMemoryEdgeSource final : public EdgeStreamSource {
 };
 
 /// Bounded-memory disk edge source: streams a whitespace-separated edge
-/// list ("src dst" per line) through the hardened ParseEdgeListLine
-/// reader, holding only one chunk of edges in memory. Mirrors the
+/// list ("src dst" per line) through the shared LineReader and the
+/// hardened ParseEdgeListLine parser, holding only one chunk of edges and
+/// one read block in memory. Mirrors the
 /// GraphBuilder canonicalization it can afford statelessly: self-loops
 /// are dropped (duplicate suppression would need O(m) state, so inputs
 /// with duplicates simply stream them — ids then diverge from the
 /// deduplicated in-memory Graph). Only natural order is possible without
 /// materializing the file. Malformed lines are skipped and counted;
-/// out-of-range ids put the source in a failed state (ok() == false).
+/// out-of-range ids and read errors put the source in a failed state
+/// (ok() == false).
 class EdgeListFileSource final : public EdgeStreamSource {
  public:
   struct Options {
@@ -154,9 +158,13 @@ class EdgeListFileSource final : public EdgeStreamSource {
 
   explicit EdgeListFileSource(const std::string& path);
   EdgeListFileSource(const std::string& path, const Options& options);
+  // reader_ refers to in_, so the source stays where it was built.
+  EdgeListFileSource(const EdgeListFileSource&) = delete;
+  EdgeListFileSource& operator=(const EdgeListFileSource&) = delete;
 
-  /// False when the file cannot be opened or a line had an out-of-range
-  /// id; `error()` carries the diagnostic. NextChunk() returns empty.
+  /// False when the file cannot be opened or read, or a line had an
+  /// out-of-range id; `error()` carries the diagnostic. NextChunk()
+  /// returns empty.
   bool ok() const override { return ok_; }
   std::string error() const override { return error_; }
 
@@ -179,10 +187,10 @@ class EdgeListFileSource final : public EdgeStreamSource {
   std::string path_;
   Options options_;
   std::ifstream in_;
+  std::optional<LineReader> reader_;  // over in_; re-created per pass
   std::vector<StreamEdge> buffer_;
   bool ok_ = true;
   std::string error_;
-  uint64_t line_number_ = 0;
   uint64_t next_edge_id_ = 0;
   uint64_t skipped_lines_ = 0;
   VertexId max_vertex_bound_ = 0;

@@ -76,6 +76,54 @@ TEST_P(BuilderOracleTest, MatchesNaiveReferenceOnRandomSequences) {
   }
 }
 
+// Edge ids are positions in g.edges(), so de-duplication must keep the
+// first occurrence of every edge in insertion order, element by element.
+// The sequences are dense in reversed duplicates ("u v" after "v u") and
+// self-loops, the two cases a canonicalizing dedup can get wrong.
+TEST_P(BuilderOracleTest, EdgeOrderIsFirstOccurrence) {
+  const bool directed = GetParam();
+  Rng rng(directed ? 303 : 404);
+  for (int trial = 0; trial < 50; ++trial) {
+    const VertexId n = 2 + static_cast<VertexId>(rng.UniformInt(20));
+    const int ops = static_cast<int>(rng.UniformInt(300));
+    GraphBuilder builder(n, directed);
+    std::vector<Edge> added;
+    for (int i = 0; i < ops; ++i) {
+      Edge e{static_cast<VertexId>(rng.UniformInt(n)),
+             static_cast<VertexId>(rng.UniformInt(n))};
+      switch (rng.UniformInt(4)) {
+        case 0:  // reverse an earlier edge
+          if (!added.empty()) {
+            const Edge& old = added[rng.UniformInt(added.size())];
+            e = {old.dst, old.src};
+          }
+          break;
+        case 1:  // repeat an earlier edge
+          if (!added.empty()) e = added[rng.UniformInt(added.size())];
+          break;
+        case 2:  // self-loop
+          e.dst = e.src;
+          break;
+        default:
+          break;
+      }
+      added.push_back(e);
+      builder.AddEdge(e.src, e.dst);
+    }
+    Graph g = std::move(builder).Finalize();
+
+    std::vector<Edge> expected;
+    std::set<std::pair<VertexId, VertexId>> seen;
+    for (const Edge& e : added) {
+      if (e.src == e.dst) continue;
+      auto key = directed || e.src <= e.dst ? std::make_pair(e.src, e.dst)
+                                            : std::make_pair(e.dst, e.src);
+      if (seen.insert(key).second) expected.push_back(e);
+    }
+    ASSERT_EQ(g.edges(), expected) << "trial " << trial;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Directedness, BuilderOracleTest,
                          ::testing::Values(false, true),
                          [](const auto& info) {

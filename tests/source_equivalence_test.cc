@@ -2,7 +2,6 @@
 // chunk boundaries must never change any partitioner's output, and the
 // disk edge-list source must reproduce the in-memory stream-ingest
 // results edge for edge.
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -12,21 +11,12 @@
 #include "graph/io.h"
 #include "partition/partitioner.h"
 #include "stream/source.h"
+#include "tests/test_util.h"
 
 namespace sgp {
 namespace {
 
-// A temp file removed on scope exit.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "/" + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using testing::TempFile;
 
 class SourceEquivalenceTest : public ::testing::TestWithParam<std::string> {};
 
@@ -161,6 +151,25 @@ TEST(StreamIngestTest, MissingFileReportsError) {
   StreamRunResult r = CreatePartitioner("VCR")->RunOnSource(source, cfg);
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.error.empty());
+}
+
+// A path that opens but cannot be read (a directory: EISDIR) fails the
+// stream instead of looking like an empty one.
+TEST(StreamIngestTest, UnreadableFileReportsError) {
+  const std::string dir = ::testing::TempDir();
+  EdgeListFileSource source(dir);
+  std::vector<StreamEdge> edges;
+  ForEachStreamItem(source, [&](const StreamEdge& e) { edges.push_back(e); });
+  EXPECT_TRUE(edges.empty());
+  EXPECT_FALSE(source.ok());
+  EXPECT_EQ(source.error(), "cannot read edge list file: " + dir);
+  EdgeListFileSource again(dir);
+  PartitionConfig cfg;
+  cfg.k = 4;
+  StreamRunResult r = CreatePartitioner("HDRF")->RunOnSource(again, cfg);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("cannot read edge list file"), std::string::npos)
+      << r.error;
 }
 
 // --- Rewind contract (multi-pass partitioners over seekable sources) ---

@@ -1,12 +1,15 @@
 #ifndef SGP_TESTS_TEST_UTIL_H_
 #define SGP_TESTS_TEST_UTIL_H_
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
 #include "graph/graph.h"
 #include "partition/partitioning.h"
 #include "partition/score_core.h"
@@ -76,6 +79,27 @@ inline Partitioning MakeVertexCutPartitioning(
   DeriveMasterPlacement(graph, &p);
   return p;
 }
+
+// A file under the test temp directory, removed on scope exit.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& name)
+      : path_(::testing::TempDir() + "/" + name) {}
+  ~TempFile() { std::remove(path_.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+  // Replaces the file's contents with `bytes`, verbatim.
+  void Write(const std::string& bytes) const {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+ private:
+  std::string path_;
+};
 
 // Sets SGP_FORCE_SCALAR_DISPATCH to `value` (nullptr unsets it) for one
 // scope and restores the caller's setting afterwards, so a whole-binary
