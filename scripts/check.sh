@@ -43,6 +43,15 @@ echo "check.sh: telemetry_test + monitor_test passed standalone under sanitizers
 "$BUILD_DIR/tests/reader_fuzz_test"
 echo "check.sh: source_equivalence_test + reader_fuzz_test passed standalone under sanitizers"
 
+# The incidence suite drives the one vertex→partition table behind
+# masters, replica sets, RF, DistributedGraph and failover repair, whose
+# build packs partitions into 4-byte half-edge records and indexes a
+# k-sized slot scratch (k up to 200 there); run it standalone under the
+# sanitizers so a wrapped record or an out-of-range slot cannot hide
+# behind a sharded ctest run.
+"$BUILD_DIR/tests/incidence_test"
+echo "check.sh: incidence_test passed standalone under sanitizers"
+
 # The live-resharding suite moves ownership state while queries are in
 # flight; run it and the drain-guard regressions standalone under the
 # sanitizers so a dangling plan pointer or a use-after-move in the batch

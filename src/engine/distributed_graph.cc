@@ -1,113 +1,48 @@
 #include "engine/distributed_graph.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
+#include "partition/incidence.h"
 
 namespace sgp {
 
-namespace {
-
-// Half-edge record: the partition an incident edge lives on plus which
-// directions it counts for at this endpoint, packed so the fill pass
-// streams one uint32 per endpoint. For undirected graphs every incident
-// edge is both an in- and an out-edge of each endpoint, so one record
-// carries both increments.
-constexpr uint32_t kIn = 1;
-constexpr uint32_t kOut = 2;
-
-constexpr uint32_t PackRecord(PartitionId p, uint32_t flags) {
-  return (p << 2) | flags;
-}
-
-}  // namespace
-
 DistributedGraph::DistributedGraph(const Graph& graph,
                                    const Partitioning& partitioning)
-    : graph_(&graph), k_(partitioning.k) {
-  SGP_CHECK(partitioning.vertex_to_partition.size() == graph.num_vertices());
-  SGP_CHECK(partitioning.edge_to_partition.size() == graph.num_edges());
-  SGP_CHECK(k_ < (1u << 30));  // records pack the partition into 30 bits
+    : graph_(&graph),
+      k_(partitioning.k),
+      master_(partitioning.vertex_to_partition) {
+  SGP_CHECK(master_.size() == graph.num_vertices());
   const VertexId n = graph.num_vertices();
-  const EdgeId m = graph.num_edges();
-  master_ = partitioning.vertex_to_partition;
+  const Incidence incidence(graph, partitioning.edge_to_partition, k_);
   edges_per_partition_.assign(k_, 0);
-
-  // Pass 1: group the half-edge records by endpoint vertex
-  // (count → prefix-sum → fill), replacing the per-vertex heap vectors and
-  // linear partition scans of the old accumulator.
-  std::vector<uint64_t> rec_offsets(static_cast<size_t>(n) + 1, 0);
-  for (const Edge& edge : graph.edges()) {
-    ++rec_offsets[edge.src + 1];
-    ++rec_offsets[edge.dst + 1];
-  }
-  for (VertexId v = 0; v < n; ++v) rec_offsets[v + 1] += rec_offsets[v];
-  std::vector<uint32_t> records(rec_offsets[n]);
-  {
-    std::vector<uint64_t> cursor(rec_offsets.begin(), rec_offsets.end() - 1);
-    const uint32_t src_flags = graph.directed() ? kOut : (kIn | kOut);
-    const uint32_t dst_flags = graph.directed() ? kIn : (kIn | kOut);
-    for (EdgeId e = 0; e < m; ++e) {
-      const Edge& edge = graph.edges()[e];
-      const PartitionId p = partitioning.edge_to_partition[e];
-      ++edges_per_partition_[p];
-      records[cursor[edge.src]++] = PackRecord(p, src_flags);
-      records[cursor[edge.dst]++] = PackRecord(p, dst_flags);
-    }
+  for (PartitionId p : partitioning.edge_to_partition) {
+    ++edges_per_partition_[p];
   }
 
-  // Pass 2 (count): distinct partitions per vertex, plus one slot for a
-  // master that holds no incident edge. Distinctness is tracked with an
-  // epoch-stamped per-partition scratch instead of per-vertex sets.
-  std::vector<uint64_t> slot_epoch(k_, 0);
-  uint64_t epoch = 0;
+  // One replica per incidence entry, plus an empty one for a master that
+  // holds no incident edge, so Replicas(v) is never empty.
   offsets_.assign(static_cast<size_t>(n) + 1, 0);
   for (VertexId v = 0; v < n; ++v) {
-    ++epoch;
-    uint64_t distinct = 0;
-    for (uint64_t i = rec_offsets[v]; i < rec_offsets[v + 1]; ++i) {
-      const PartitionId p = records[i] >> 2;
-      if (slot_epoch[p] != epoch) {
-        slot_epoch[p] = epoch;
-        ++distinct;
-      }
-    }
-    if (slot_epoch[master_[v]] != epoch) ++distinct;
-    offsets_[v + 1] = offsets_[v] + distinct;
+    const auto row = incidence.Row(v);
+    offsets_[v + 1] =
+        offsets_[v] + row.size() + (IndexOf(row, master_[v]) == row.size());
   }
-
-  // Pass 3 (fill): aggregate each vertex's records into its replica range,
-  // then move the master to the front. A master without incident edges is
-  // materialized as an empty replica so Replicas(v) is never empty — one
-  // swap covers both cases, replacing the old double find_if/iter_swap.
+  // Copy the rows in first-touch order, then swap the master to the front.
+  // On an undirected graph every incident edge is both an in- and an
+  // out-edge of each endpoint.
   replicas_.resize(offsets_[n]);
-  std::vector<uint64_t> slot_index(k_, 0);
+  const bool directed = graph.directed();
   for (VertexId v = 0; v < n; ++v) {
-    ++epoch;
+    const auto row = incidence.Row(v);
     Replica* out = replicas_.data() + offsets_[v];
-    uint64_t filled = 0;
-    for (uint64_t i = rec_offsets[v]; i < rec_offsets[v + 1]; ++i) {
-      const uint32_t rec = records[i];
-      const PartitionId p = rec >> 2;
-      if (slot_epoch[p] != epoch) {
-        slot_epoch[p] = epoch;
-        slot_index[p] = filled;
-        out[filled++] = {p, 0, 0};
-      }
-      Replica& r = out[slot_index[p]];
-      if (rec & kIn) ++r.in_edges;
-      if (rec & kOut) ++r.out_edges;
+    for (size_t i = 0; i < row.size(); ++i) {
+      const IncidenceEntry& e = row[i];
+      out[i] = directed ? Replica{e.partition, e.dst_count, e.src_count}
+                        : Replica{e.partition, e.count(), e.count()};
     }
-    const PartitionId master = master_[v];
-    uint64_t master_slot;
-    if (slot_epoch[master] == epoch) {
-      master_slot = slot_index[master];
-    } else {
-      master_slot = filled;
-      out[filled++] = {master, 0, 0};
-    }
-    SGP_DCHECK(filled == offsets_[v + 1] - offsets_[v]);
+    const size_t master_slot = IndexOf(row, master_[v]);
+    if (master_slot == row.size()) out[master_slot] = {master_[v], 0, 0};
     std::swap(out[0], out[master_slot]);
   }
 

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/hashing.h"
+#include "partition/incidence.h"
 
 namespace sgp {
 
@@ -370,7 +371,7 @@ FailoverRepair RepairAfterWorkerLoss(const Graph& graph,
   SGP_CHECK(dead < p.k);
   SGP_CHECK(p.vertex_to_partition.size() == graph.num_vertices());
   SGP_CHECK(p.edge_to_partition.size() == graph.num_edges());
-  const ReplicaSets old_replicas = ComputeReplicaSets(graph, p);
+  const Incidence incidence(graph, p.edge_to_partition, p.k);
 
   FailoverRepair repair;
   if (p.model == CutModel::kEdgeCut) {
@@ -389,39 +390,9 @@ FailoverRepair RepairAfterWorkerLoss(const Graph& graph,
   } else {
     // Vertex-cut / hybrid: every orphaned master usually has surviving
     // replicas — promote the one holding the most still-live incident
-    // edges; its edges on the dead worker follow the source's new master.
+    // edges (the master winner rule over the row minus the dead worker);
+    // its edges on the dead worker follow the source's new master.
     Partitioning q = p;
-    std::vector<uint32_t> orphan_index(graph.num_vertices(), UINT32_MAX);
-    std::vector<VertexId> orphans;
-    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      if (p.vertex_to_partition[v] == dead) {
-        orphan_index[v] = static_cast<uint32_t>(orphans.size());
-        orphans.push_back(v);
-      }
-    }
-    // Live incident-edge counts per candidate partition, orphans only.
-    std::vector<std::vector<std::pair<PartitionId, uint32_t>>> live_counts(
-        orphans.size());
-    auto bump = [&](VertexId v, PartitionId part) {
-      if (orphan_index[v] == UINT32_MAX) return;
-      auto& vec = live_counts[orphan_index[v]];
-      auto it = std::find_if(vec.begin(), vec.end(),
-                             [part](const auto& pr) {
-                               return pr.first == part;
-                             });
-      if (it == vec.end()) {
-        vec.emplace_back(part, 1u);
-      } else {
-        ++it->second;
-      }
-    };
-    const auto& edges = graph.edges();
-    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-      const PartitionId pe = p.edge_to_partition[e];
-      if (pe == dead) continue;
-      bump(edges[e].src, pe);
-      bump(edges[e].dst, pe);
-    }
     // Running master loads so replica-less orphans spread evenly.
     std::vector<uint64_t> master_loads(p.k, 0);
     for (PartitionId part : p.vertex_to_partition) ++master_loads[part];
@@ -437,27 +408,15 @@ FailoverRepair RepairAfterWorkerLoss(const Graph& graph,
       SGP_CHECK(best != kInvalidPartition);
       return best;
     };
-    for (uint32_t i = 0; i < orphans.size(); ++i) {
-      const VertexId v = orphans[i];
-      PartitionId best = kInvalidPartition;
-      uint32_t best_count = 0;
-      // Of(v) is sorted, so ties resolve toward the lower partition id.
-      for (PartitionId cand : old_replicas.Of(v)) {
-        if (cand == dead) continue;
-        uint32_t count = 0;
-        for (const auto& [part, c] : live_counts[i]) {
-          if (part == cand) count = c;
-        }
-        if (best == kInvalidPartition || count > best_count) {
-          best = cand;
-          best_count = count;
-        }
-      }
+    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+      if (p.vertex_to_partition[v] != dead) continue;
+      PartitionId best = MostIncident(incidence.Row(v), dead);
       if (best == kInvalidPartition) best = least_loaded_alive();
       --master_loads[dead];
       ++master_loads[best];
       q.vertex_to_partition[v] = best;
     }
+    const auto& edges = graph.edges();
     for (EdgeId e = 0; e < graph.num_edges(); ++e) {
       if (q.edge_to_partition[e] == dead) {
         q.edge_to_partition[e] = q.vertex_to_partition[edges[e].src];
@@ -471,11 +430,12 @@ FailoverRepair RepairAfterWorkerLoss(const Graph& graph,
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     if (q.vertex_to_partition[v] == p.vertex_to_partition[v]) continue;
     ++repair.moved_masters;
-    bool had_replica = false;
-    for (PartitionId part : old_replicas.Of(v)) {
-      if (part == q.vertex_to_partition[v]) had_replica = true;
+    // The new master differs from the old one, so it had a replica iff it
+    // held one of v's incident edges.
+    const auto row = incidence.Row(v);
+    if (IndexOf(row, q.vertex_to_partition[v]) == row.size()) {
+      ++repair.copied_vertices;
     }
-    if (!had_replica) ++repair.copied_vertices;
   }
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     if (q.edge_to_partition[e] != p.edge_to_partition[e]) {

@@ -397,94 +397,89 @@ PartitionId PlacePggSharded(ShardedPartitionState& shard, uint32_t w,
 ParallelStreamResult RunParallelEdgeStream(
     const Graph& graph, const PartitionConfig& config,
     const ParallelStreamOptions& options, ParallelAlgo algo) {
-  Timer timer;
   const VertexId n = graph.num_vertices();
   const PartitionId k = config.k;
   const uint32_t s = options.num_streams;
-  ShardedPartitionState shard(config, s);
-  shard.InitDegreeTable(n);
-  shard.InitReplicas(n);
-  if (algo == ParallelAlgo::kHdrf) shard.global().InitEffectiveLoads();
-
-  std::vector<std::vector<StreamEdge>> substreams(s);
-  {
-    InMemoryEdgeSource source(graph, config.order, config.seed,
-                              config.ingest_chunk_size);
-    size_t i = 0;
-    ForEachStreamItem(source, [&](const StreamEdge& e) {
-      substreams[i++ % s].push_back(e);
-    });
-  }
-
   ParallelStreamResult result;
-  result.partitioning.model = CutModel::kVertexCut;
-  result.partitioning.k = k;
-  result.partitioning.edge_to_partition.resize(graph.num_edges());
+  result.partitioning = RunVertexCut(graph, k, [&](Partitioning& placed) {
+    ShardedPartitionState shard(config, s);
+    shard.InitDegreeTable(n);
+    shard.InitReplicas(n);
+    if (algo == ParallelAlgo::kHdrf) shard.global().InitEffectiveLoads();
 
-  // kFast runs on the replica bit index: HDRF sweeps dispatch through
-  // HdrfPickFast, while PGG keeps the word-at-a-time bit scans (sparse
-  // replica sets — a dense k-lane sweep would be slower).
-  const bool fast = config.score_mode == ScoreMode::kFast;
-  const score::KernelTier tier = score::ActiveKernelTier();
-  if (fast) shard.EnableReplicaBitIndex();
-  const bool is_hdrf = algo == ParallelAlgo::kHdrf;
-  ScoreCoreStats score_stats;
-  CombinedLoadScratch comb;
-  std::vector<uint64_t> inter_words((static_cast<uint64_t>(k) + 63) / 64, 0);
-  std::vector<PartitionId> all(k);
-  for (PartitionId i = 0; i < k; ++i) all[i] = i;
-  std::vector<PartitionId> setu, setv, intersection;
-  std::vector<size_t> cursor(s, 0);
-  std::vector<uint64_t> round_placed(s, 0);
+    std::vector<std::vector<StreamEdge>> substreams(s);
+    {
+      InMemoryEdgeSource source(graph, config.order, config.seed,
+                                config.ingest_chunk_size);
+      size_t i = 0;
+      ForEachStreamItem(source, [&](const StreamEdge& e) {
+        substreams[i++ % s].push_back(e);
+      });
+    }
 
-  bool work_left = true;
-  while (work_left) {
-    work_left = false;
-    for (uint32_t w = 0; w < s; ++w) {
-      if (fast) comb.Fill(shard, w, /*eff=*/is_hdrf);
-      ++score_stats.batches;
-      const size_t end = std::min(cursor[w] + options.sync_interval,
-                                  substreams[w].size());
-      round_placed[w] = end - cursor[w];
-      for (size_t i = cursor[w]; i < end; ++i) {
-        const StreamEdge& e = substreams[w][i];
-        PartitionId target;
-        if (fast) {
-          target = is_hdrf
-                       ? PlaceHdrfShardedFast(shard, w, comb, e.src, e.dst,
-                                              config.hdrf_lambda, tier,
-                                              score_stats)
-                       : PlacePggShardedFast(shard, w, comb, graph, e.src,
-                                             e.dst, inter_words, score_stats);
-        } else {
-          if (is_hdrf) {
-            score_stats.candidates += k;
-            target = PlaceHdrfSharded(shard, w, e.src, e.dst,
-                                      config.hdrf_lambda);
+    // kFast runs on the replica bit index: HDRF sweeps dispatch through
+    // HdrfPickFast, while PGG keeps the word-at-a-time bit scans (sparse
+    // replica sets — a dense k-lane sweep would be slower).
+    const bool fast = config.score_mode == ScoreMode::kFast;
+    const score::KernelTier tier = score::ActiveKernelTier();
+    if (fast) shard.EnableReplicaBitIndex();
+    const bool is_hdrf = algo == ParallelAlgo::kHdrf;
+    ScoreCoreStats score_stats;
+    CombinedLoadScratch comb;
+    std::vector<uint64_t> inter_words((static_cast<uint64_t>(k) + 63) / 64, 0);
+    std::vector<PartitionId> all(k);
+    for (PartitionId i = 0; i < k; ++i) all[i] = i;
+    std::vector<PartitionId> setu, setv, intersection;
+    std::vector<size_t> cursor(s, 0);
+    std::vector<uint64_t> round_placed(s, 0);
+
+    bool work_left = true;
+    while (work_left) {
+      work_left = false;
+      for (uint32_t w = 0; w < s; ++w) {
+        if (fast) comb.Fill(shard, w, /*eff=*/is_hdrf);
+        ++score_stats.batches;
+        const size_t end = std::min(cursor[w] + options.sync_interval,
+                                    substreams[w].size());
+        round_placed[w] = end - cursor[w];
+        for (size_t i = cursor[w]; i < end; ++i) {
+          const StreamEdge& e = substreams[w][i];
+          PartitionId target;
+          if (fast) {
+            target = is_hdrf
+                         ? PlaceHdrfShardedFast(shard, w, comb, e.src, e.dst,
+                                                config.hdrf_lambda, tier,
+                                                score_stats)
+                         : PlacePggShardedFast(shard, w, comb, graph, e.src,
+                                               e.dst, inter_words, score_stats);
           } else {
-            target = PlacePggSharded(shard, w, graph, e.src, e.dst, setu,
-                                     setv, intersection, all);
+            if (is_hdrf) {
+              score_stats.candidates += k;
+              target = PlaceHdrfSharded(shard, w, e.src, e.dst,
+                                        config.hdrf_lambda);
+            } else {
+              target = PlacePggSharded(shard, w, graph, e.src, e.dst, setu,
+                                       setv, intersection, all);
+            }
           }
+          placed.edge_to_partition[e.id] = target;
         }
-        result.partitioning.edge_to_partition[e.id] = target;
+        cursor[w] = end;
+        work_left |= cursor[w] < substreams[w].size();
       }
-      cursor[w] = end;
-      work_left |= cursor[w] < substreams[w].size();
+      // Barrier: each placed-edge record (and the replica/degree updates it
+      // implies) reaches the other workers.
+      ++result.sync_rounds;
+      for (uint32_t w = 0; w < s; ++w) {
+        result.sync_messages += round_placed[w] * (s - 1);
+        round_placed[w] = 0;
+      }
+      shard.Publish();
     }
-    // Barrier: each placed-edge record (and the replica/degree updates it
-    // implies) reaches the other workers.
-    ++result.sync_rounds;
-    for (uint32_t w = 0; w < s; ++w) {
-      result.sync_messages += round_placed[w] * (s - 1);
-      round_placed[w] = 0;
-    }
-    shard.Publish();
-  }
 
-  FlushScoreCoreStats(score_stats);
-  DeriveMasterPlacement(graph, &result.partitioning);
-  result.partitioning.state_bytes = shard.SynopsisBytes();
-  result.partitioning.partitioning_seconds = timer.ElapsedSeconds();
+    FlushScoreCoreStats(score_stats);
+    placed.state_bytes = shard.SynopsisBytes();
+  });
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "partition/incidence.h"
 
 namespace sgp {
 
@@ -30,11 +31,17 @@ PartitionMetrics ComputeMetrics(const Graph& graph, const Partitioning& p) {
                          : static_cast<double>(cut) /
                                static_cast<double>(num_edges);
 
-  ReplicaSets replicas = ComputeReplicaSets(graph, p);
+  // |A(u)|: the partitions of u's incident edges, plus its master when
+  // it holds none of them.
+  const Incidence incidence(graph, p.edge_to_partition, p.k);
+  uint64_t copies = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    const auto row = incidence.Row(u);
+    copies += row.size() +
+              (IndexOf(row, p.vertex_to_partition[u]) == row.size());
+  }
   m.replication_factor =
-      n == 0 ? 0
-             : static_cast<double>(replicas.offsets[n]) /
-                   static_cast<double>(n);
+      n == 0 ? 0 : static_cast<double>(copies) / static_cast<double>(n);
 
   auto imbalance = [](const std::vector<uint64_t>& loads) {
     if (loads.empty()) return 0.0;

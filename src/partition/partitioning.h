@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/timer.h"
 #include "common/types.h"
 #include "graph/graph.h"
 #include "stream/stream.h"
@@ -135,13 +136,33 @@ void DeriveEdgePlacement(const Graph& graph, Partitioning* p);
 
 /// Fills `p->vertex_to_partition` from `p->edge_to_partition`: each vertex's
 /// master is its replica with the most incident edges (ties toward the
-/// lower partition id); vertices without edges are hashed.
+/// lower partition id); vertices without edges are hashed. Both this and
+/// ComputeReplicaSets read the incidence table of partition/incidence.h.
 void DeriveMasterPlacement(const Graph& graph, Partitioning* p);
 
+/// Frame of the in-memory vertex-cut Runs: `place(result)` fills the
+/// pre-sized edge_to_partition and state_bytes. Its working state is
+/// released when it returns, before DeriveMasterPlacement builds its
+/// incidence table, so the two never stack. partitioning_seconds covers
+/// both steps.
+template <typename Place>
+Partitioning RunVertexCut(const Graph& graph, PartitionId k, Place&& place) {
+  Timer timer;
+  Partitioning result;
+  result.model = CutModel::kVertexCut;
+  result.k = k;
+  result.edge_to_partition.resize(graph.num_edges());
+  place(result);
+  DeriveMasterPlacement(graph, &result);
+  result.partitioning_seconds = timer.ElapsedSeconds();
+  return result;
+}
+
 /// Replica sets A(u): the sorted set of partitions holding a copy of each
-/// vertex (partitions of incident edges plus the master). Flat CSR layout.
+/// vertex (partitions of incident edges plus the master). Flat CSR layout;
+/// 64-bit offsets, since n · RF can exceed 2^32.
 struct ReplicaSets {
-  std::vector<uint32_t> offsets;       // size n+1
+  std::vector<uint64_t> offsets;       // size n+1
   std::vector<PartitionId> partitions; // concatenated sorted sets
 
   std::span<const PartitionId> Of(VertexId u) const {

@@ -6,7 +6,7 @@
 #include "common/check.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
-#include "partition/master_tracker.h"
+#include "partition/incidence.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
 #include "partition/twophase/cluster_score.h"

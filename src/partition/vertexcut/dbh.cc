@@ -5,7 +5,7 @@
 #include "common/check.h"
 #include "common/hashing.h"
 #include "common/timer.h"
-#include "partition/master_tracker.h"
+#include "partition/incidence.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
 
@@ -14,26 +14,20 @@ namespace sgp {
 Partitioning DbhPartitioner::Run(const Graph& graph,
                                  const PartitionConfig& config) const {
   SGP_CHECK(config.k > 0);
-  Timer timer;
-  Partitioning result;
-  result.model = CutModel::kVertexCut;
-  result.k = config.k;
-  result.edge_to_partition.resize(graph.num_edges());
-  PartitionState state(config);
-  const CapacityAwareHasher hasher(state);
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const Edge& edge = graph.edges()[e];
-    VertexId pivot = graph.Degree(edge.src) <= graph.Degree(edge.dst)
-                         ? edge.src
-                         : edge.dst;
-    result.edge_to_partition[e] =
-        hasher.Pick(HashU64Seeded(pivot, config.seed));
-  }
-  // O(k) synopsis: capacity weights for the hasher, nothing per edge.
-  result.state_bytes = state.SynopsisBytes();
-  DeriveMasterPlacement(graph, &result);
-  result.partitioning_seconds = timer.ElapsedSeconds();
-  return result;
+  return RunVertexCut(graph, config.k, [&](Partitioning& result) {
+    PartitionState state(config);
+    const CapacityAwareHasher hasher(state);
+    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+      const Edge& edge = graph.edges()[e];
+      VertexId pivot = graph.Degree(edge.src) <= graph.Degree(edge.dst)
+                           ? edge.src
+                           : edge.dst;
+      result.edge_to_partition[e] =
+          hasher.Pick(HashU64Seeded(pivot, config.seed));
+    }
+    // O(k) synopsis: capacity weights for the hasher, nothing per edge.
+    result.state_bytes = state.SynopsisBytes();
+  });
 }
 
 StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,

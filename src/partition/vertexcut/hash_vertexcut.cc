@@ -3,7 +3,7 @@
 #include "common/check.h"
 #include "common/hashing.h"
 #include "common/timer.h"
-#include "partition/master_tracker.h"
+#include "partition/incidence.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
 
@@ -12,24 +12,18 @@ namespace sgp {
 Partitioning HashVertexCutPartitioner::Run(
     const Graph& graph, const PartitionConfig& config) const {
   SGP_CHECK(config.k > 0);
-  Timer timer;
-  Partitioning result;
-  result.model = CutModel::kVertexCut;
-  result.k = config.k;
-  result.edge_to_partition.resize(graph.num_edges());
-  PartitionState state(config);
-  const CapacityAwareHasher hasher(state);
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const Edge& edge = graph.edges()[e];
-    uint64_t h = HashCombine(HashU64Seeded(edge.src, config.seed),
-                             HashU64Seeded(edge.dst, config.seed));
-    result.edge_to_partition[e] = hasher.Pick(h);
-  }
-  // O(k) synopsis: capacity weights for the hasher, nothing per edge.
-  result.state_bytes = state.SynopsisBytes();
-  DeriveMasterPlacement(graph, &result);
-  result.partitioning_seconds = timer.ElapsedSeconds();
-  return result;
+  return RunVertexCut(graph, config.k, [&](Partitioning& result) {
+    PartitionState state(config);
+    const CapacityAwareHasher hasher(state);
+    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+      const Edge& edge = graph.edges()[e];
+      uint64_t h = HashCombine(HashU64Seeded(edge.src, config.seed),
+                               HashU64Seeded(edge.dst, config.seed));
+      result.edge_to_partition[e] = hasher.Pick(h);
+    }
+    // O(k) synopsis: capacity weights for the hasher, nothing per edge.
+    result.state_bytes = state.SynopsisBytes();
+  });
 }
 
 StreamRunResult HashVertexCutPartitioner::RunOnSource(

@@ -5,7 +5,7 @@
 #include "common/check.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
-#include "partition/master_tracker.h"
+#include "partition/incidence.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
 #include "stream/source.h"
@@ -39,41 +39,30 @@ struct HdrfMetrics {
 Partitioning HdrfPartitioner::Run(const Graph& graph,
                                   const PartitionConfig& config) const {
   SGP_CHECK(config.k > 0);
-  Timer timer;
-  const double lambda = config.hdrf_lambda;
-
-  Partitioning result;
-  result.model = CutModel::kVertexCut;
-  result.k = config.k;
-  result.edge_to_partition.resize(graph.num_edges());
-
   HdrfMetrics& metrics = HdrfMetrics::Get();
   ScopedTimer assign_timer(metrics.assign_wall);
+  return RunVertexCut(graph, config.k, [&](Partitioning& result) {
+    PartitionState state(config);
+    state.InitDegreeTable(graph.num_vertices());
+    state.InitEffectiveLoads();
+    state.InitReplicas(graph.num_vertices());
+    ScoreCore core(state, config.score_mode);
 
-  PartitionState state(config);
-  state.InitDegreeTable(graph.num_vertices());
-  state.InitEffectiveLoads();
-  state.InitReplicas(graph.num_vertices());
-  ScoreCore core(state, config.score_mode);
-
-  InMemoryEdgeSource source(graph, config.order, config.seed,
-                            config.ingest_chunk_size);
-  HdrfStats stats;
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    core.PlaceHdrfChunk(chunk, lambda, stats,
-                        [&](const StreamEdge& edge, PartitionId target) {
-                          result.edge_to_partition[edge.id] = target;
-                        });
-  }
-  metrics.edges_assigned->Increment(graph.num_edges());
-  metrics.degree_table_hits->Increment(stats.degree_hits);
-  metrics.tie_breaks->Increment(stats.tie_breaks);
-
-  result.state_bytes = state.SynopsisBytes();
-  DeriveMasterPlacement(graph, &result);
-  result.partitioning_seconds = timer.ElapsedSeconds();
-  return result;
+    InMemoryEdgeSource source(graph, config.order, config.seed,
+                              config.ingest_chunk_size);
+    HdrfStats stats;
+    for (auto chunk = source.NextChunk(); !chunk.empty();
+         chunk = source.NextChunk()) {
+      core.PlaceHdrfChunk(chunk, config.hdrf_lambda, stats,
+                          [&](const StreamEdge& edge, PartitionId target) {
+                            result.edge_to_partition[edge.id] = target;
+                          });
+    }
+    metrics.edges_assigned->Increment(graph.num_edges());
+    metrics.degree_table_hits->Increment(stats.degree_hits);
+    metrics.tie_breaks->Increment(stats.tie_breaks);
+    result.state_bytes = state.SynopsisBytes();
+  });
 }
 
 StreamRunResult HdrfPartitioner::RunOnSource(
