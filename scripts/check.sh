@@ -52,6 +52,15 @@ echo "check.sh: source_equivalence_test + reader_fuzz_test passed standalone und
 "$BUILD_DIR/tests/incidence_test"
 echo "check.sh: incidence_test passed standalone under sanitizers"
 
+# The load-tracker suite drives PartitionState's incremental max/min
+# effective load (its O(k) rescan indexes the effective-load table),
+# ReplicaState's bit-index early-out and BitMatrix's geometric row growth
+# (spare rows past rows()); run it standalone under the sanitizers so an
+# out-of-range row or a stale tracker cannot hide behind a sharded ctest
+# run.
+"$BUILD_DIR/tests/load_tracker_test"
+echo "check.sh: load_tracker_test passed standalone under sanitizers"
+
 # The live-resharding suite moves ownership state while queries are in
 # flight; run it and the drain-guard regressions standalone under the
 # sanitizers so a dangling plan pointer or a use-after-move in the batch

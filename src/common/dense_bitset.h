@@ -65,9 +65,11 @@ class BitMatrix {
   BitMatrix() = default;
   BitMatrix(uint64_t rows, uint32_t cols) { Reset(rows, cols); }
 
-  /// Reshapes to rows × cols with every bit cleared.
+  /// Reshapes to rows × cols with every bit cleared; allocates exactly
+  /// `rows` rows.
   void Reset(uint64_t rows, uint32_t cols) {
     rows_ = rows;
+    row_capacity_ = rows;
     cols_ = cols;
     words_per_row_ = (static_cast<uint64_t>(cols) + 63) / 64;
     row_stride_ = RowStride(words_per_row_);
@@ -75,18 +77,25 @@ class BitMatrix {
   }
 
   /// Grows the row count (column width fixed); new rows are zero,
-  /// existing rows keep their bits across the reallocation.
+  /// existing rows keep their bits. Storage grows geometrically (at least
+  /// doubling the row capacity), so growing one row at a time to n rows
+  /// reallocates O(log n) times, not n times. Rows between rows() and
+  /// row_capacity() stay zero until exposed.
   void EnsureRows(uint64_t rows) {
     if (rows <= rows_) return;
-    std::vector<uint64_t> old_storage = std::move(storage_);
-    const uint64_t* old_base = base_;
-    const uint64_t old_words = rows_ * row_stride_;
+    if (rows > row_capacity_) {
+      std::vector<uint64_t> old_storage = std::move(storage_);
+      const uint64_t* old_base = base_;
+      const uint64_t old_words = rows_ * row_stride_;
+      row_capacity_ = std::max(rows, 2 * row_capacity_);
+      AllocateZeroed(row_capacity_ * row_stride_);
+      if (old_words > 0) std::copy(old_base, old_base + old_words, base_);
+    }
     rows_ = rows;
-    AllocateZeroed(rows * row_stride_);
-    if (old_words > 0) std::copy(old_base, old_base + old_words, base_);
   }
 
   uint64_t rows() const { return rows_; }
+  uint64_t row_capacity() const { return row_capacity_; }
   uint32_t cols() const { return cols_; }
   uint64_t words_per_row() const { return words_per_row_; }
   uint64_t row_stride() const { return row_stride_; }
@@ -132,6 +141,7 @@ class BitMatrix {
   }
 
   uint64_t rows_ = 0;
+  uint64_t row_capacity_ = 0;
   uint32_t cols_ = 0;
   uint64_t words_per_row_ = 0;
   uint64_t row_stride_ = 0;

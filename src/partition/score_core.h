@@ -40,7 +40,9 @@ namespace sgp {
 ///    instead of per-candidate set probes), and the k-way sweep run by the
 ///    kernel tier picked at runtime (the KernelTier block below): AVX2
 ///    intrinsics when the CPU has them, otherwise the batched
-///    word-at-a-time kernels. Same selections, no tie-audit counters.
+///    word-at-a-time kernels. HDRF's balance-term max/spread comes from
+///    PartitionState's incremental tracker instead of a per-edge O(k)
+///    scan. Same selections, no tie-audit counters.
 ///
 /// Every floating-point expression is textually identical between modes
 /// (and to the pre-ScoreCore algorithms), so assignments match down to
@@ -516,12 +518,13 @@ class ScoreCore {
       const double dv = state_.degree(v);
       const double theta_u = du / (du + dv);
       const double theta_v = 1.0 - theta_u;
-      double max_load, spread;
-      score::EffectiveSpread(effective, k, &max_load, &spread);
+      // The state tracks max/min effective load incrementally; the
+      // reference path keeps the O(k) EffectiveSpread scan as its oracle.
       const PartitionId best = score::HdrfPickFast(
           tier_, k, effective, loads, {replicas.RowWords(u), nullptr},
-          {replicas.RowWords(v), nullptr}, theta_u, theta_v, lambda, max_load,
-          spread, &stats_.bitset_hits);
+          {replicas.RowWords(v), nullptr}, theta_u, theta_v, lambda,
+          state_.max_effective(), state_.effective_spread(),
+          &stats_.bitset_hits);
       state_.AddLoadUpdatingEffective(best);
       replicas.Add(u, best);
       replicas.Add(v, best);

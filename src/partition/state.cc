@@ -102,8 +102,25 @@ void PartitionState::InitCapacities(uint64_t total_items,
 
 void PartitionState::InitEffectiveLoads() {
   effective_.resize(k_);
+  // Same accumulation as score::EffectiveSpread: the max starts at 0.
+  max_effective_ = 0;
   for (PartitionId i = 0; i < k_; ++i) {
     effective_[i] = static_cast<double>(loads_[i]) / weights_[i];
+    max_effective_ = std::max(max_effective_, effective_[i]);
+  }
+  RescanMinEffective();
+}
+
+void PartitionState::RescanMinEffective() {
+  min_effective_ = effective_[0];
+  min_count_ = 0;
+  for (PartitionId i = 0; i < k_; ++i) {
+    if (effective_[i] < min_effective_) {
+      min_effective_ = effective_[i];
+      min_count_ = 1;
+    } else if (effective_[i] == min_effective_) {
+      ++min_count_;
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef SGP_PARTITION_STATE_H_
 #define SGP_PARTITION_STATE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -71,13 +72,37 @@ class PartitionState {
 
   // ---------------------------------------------------------------------
   // Incrementally maintained effective loads (HDRF reads all k per edge,
-  // so the division is paid once per placement, not k times per edge).
+  // so the division is paid once per placement, not k times per edge),
+  // plus their exact max and min, so the HDRF balance term's
+  // normalization costs O(1) per edge instead of an O(k) scan.
+  //
+  // Invariant (DESIGN.md §10): max_effective_ and min_effective_ equal the
+  // values score::EffectiveSpread computes over effective_, and
+  // min_count_ is the number of partitions whose effective load equals
+  // min_effective_. Effective loads only grow, so the max moves with the
+  // updated partition and the min only moves when the last partition at
+  // it grows — then one O(k) rescan (about 1/k of updates).
   // ---------------------------------------------------------------------
   void InitEffectiveLoads();
   const std::vector<double>& effective() const { return effective_; }
   void AddLoadUpdatingEffective(PartitionId p) {
     ++loads_[p];
-    effective_[p] = static_cast<double>(loads_[p]) / weights_[p];
+    const double before = effective_[p];
+    const double after = static_cast<double>(loads_[p]) / weights_[p];
+    effective_[p] = after;
+    max_effective_ = std::max(max_effective_, after);
+    if (before == min_effective_ && after != before && --min_count_ == 0) {
+      RescanMinEffective();
+    }
+  }
+
+  /// Max effective load and the HDRF spread 1 + (max − min), bit-identical
+  /// to score::EffectiveSpread over effective(). Valid after
+  /// InitEffectiveLoads while loads change only through
+  /// AddLoadUpdatingEffective.
+  double max_effective() const { return max_effective_; }
+  double effective_spread() const {
+    return 1.0 + (max_effective_ - min_effective_);
   }
 
   // ---------------------------------------------------------------------
@@ -137,12 +162,17 @@ class PartitionState {
   uint64_t SynopsisBytes() const;
 
  private:
+  void RescanMinEffective();
+
   PartitionId k_;
   bool heterogeneous_;
   std::vector<double> weights_;
   std::vector<uint64_t> loads_;
   std::vector<double> capacity_;
   std::vector<double> effective_;
+  double max_effective_ = 0;
+  double min_effective_ = 0;
+  PartitionId min_count_ = 0;
   std::vector<uint64_t> secondary_;
   std::vector<uint32_t> degree_;
   bool degree_enabled_ = false;

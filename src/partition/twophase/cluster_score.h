@@ -62,10 +62,12 @@ class ClusterScorer {
     const double* effective = state_.effective().data();
     const uint64_t* loads = state_.loads().data();
     core_.stats().candidates += k;
-    double max_load, spread;
-    score::EffectiveSpread(effective, k, &max_load, &spread);
     PartitionId best;
     if (core_.mode() == ScoreMode::kReference) {
+      // The reference keeps the O(k) scan, an oracle independent of the
+      // state's incremental max/min tracker that kFast reads.
+      double max_load, spread;
+      score::EffectiveSpread(effective, k, &max_load, &spread);
       best = PickScalar(u, v, home_u, home_v, theta_u, theta_v, max_load,
                         spread, &stats.tie_breaks);
     } else {
@@ -73,7 +75,8 @@ class ClusterScorer {
       best = score::HdrfPickFast(
           tier_, k, effective, loads, {replicas.RowWords(u), RowFor(home_u)},
           {replicas.RowWords(v), RowFor(home_v)}, theta_u, theta_v, lambda_,
-          max_load, spread, &core_.stats().bitset_hits);
+          state_.max_effective(), state_.effective_spread(),
+          &core_.stats().bitset_hits);
     }
     if (!state_.HasRoom(best)) {
       best = score::LeastLoadedWithRoom(k, loads, state_.weights().data(),

@@ -81,8 +81,10 @@ class ReplicaState {
   }
 
   /// Records that partition `p` now holds a replica of `u` (idempotent).
+  /// With the bit index on, the membership test is one bit of the row the
+  /// scorers just read; the set itself is touched only for a new replica.
   void Add(VertexId u, PartitionId p) {
-    if (Contains(u, p)) return;
+    if (bit_index_enabled_ ? bits_.Test(u, p) : Contains(u, p)) return;
     sets_[u].Insert(p);
     ++total_entries_;
     if (sets_[u].size > kInline) {
