@@ -42,6 +42,12 @@ class Graph {
   /// Undirected, de-duplicated neighborhood N(u).
   std::span<const VertexId> Neighbors(VertexId u) const;
 
+  /// Requests the cache line holding N(u)'s CSR bounds, ahead of a later
+  /// Neighbors(u) (the stream-order gather pipelines use it).
+  void PrefetchNeighborBounds(VertexId u) const {
+    __builtin_prefetch(&und_.offsets[u], 0, 1);
+  }
+
   uint32_t OutDegree(VertexId u) const {
     return static_cast<uint32_t>(OutNeighbors(u).size());
   }

@@ -110,23 +110,26 @@ Partitioning RunStreamingGreedy(const Graph& graph,
     score_objective.alpha =
         alpha * std::pow(config.restream_alpha_growth,
                          static_cast<double>(pass));
+    core.BeginGreedyPass(score_objective);
     source.Reset();
     for (auto chunk = source.NextChunk(); !chunk.empty();
          chunk = source.NextChunk()) {
       core.NoteBatch();
-      for (VertexId u : chunk) {
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        NeighborGather::PrefetchAhead(graph, chunk, i, assignment.data());
+        const VertexId u = chunk[i];
         // Re-streaming: remove u from its previous partition before
         // re-placing it, so capacities reflect the tentative state.
         if (assignment[u] != kInvalidPartition) {
-          state.RemoveLoad(assignment[u]);
+          core.RemoveGreedyLoad(assignment[u]);
           assignment[u] = kInvalidPartition;
         }
         local_neighbor_scans +=
             gather.Accumulate(graph.Neighbors(u), assignment.data(),
                               neighbor_counts.data(), touched);
 
-        PartitionId best = core.PickGreedyVertex(
-            neighbor_counts.data(), score_objective, &local_tie_breaks);
+        PartitionId best = core.PickGreedyVertex(neighbor_counts.data(),
+                                                 touched, &local_tie_breaks);
         // All partitions at capacity can only happen transiently in
         // re-streaming passes; fall back to the least-loaded partition.
         if (best == kInvalidPartition) {
@@ -134,7 +137,7 @@ Partitioning RunStreamingGreedy(const Graph& graph,
           best = core.PickLeastLoadedAll();
         }
         assignment[u] = best;
-        state.AddLoad(best);
+        core.AddGreedyLoad(best);
         ++local_assigned;
 
         for (PartitionId part : touched) neighbor_counts[part] = 0;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "graph/graph.h"
 
 namespace sgp::internal_edgecut {
 
@@ -29,6 +30,14 @@ namespace sgp::internal_edgecut {
 /// L1-resident sweep. The observable effect (counts, touched order,
 /// scan total) is identical to the naive loop; only the memory schedule
 /// changes, so partition checksums are unaffected.
+///
+/// Across stream vertices, PrefetchAhead pipelines the same misses one
+/// level up, in three stages down the chunk: the CSR bounds of a vertex
+/// far ahead, then its neighbour row once the bounds have arrived, then
+/// the assignment entries of its first neighbours once the row has. A
+/// vertex's gather then starts on warm lines instead of paying the
+/// bounds, row and first assignment misses in series, which is what
+/// dominates a low-degree graph in random stream order.
 struct NeighborGather {
   /// Block length of the gather buffer: 256 × 4-byte assignments = 4 KiB,
   /// comfortably L1-resident next to the count table.
@@ -38,11 +47,45 @@ struct NeighborGather {
   /// block being gathered.
   static constexpr size_t kGatherPrefetchDist = 16;
 
+  /// Stream positions of lookahead of PrefetchAhead: CSR bounds
+  /// kBoundsAhead places ahead, the row kRowAhead places ahead and the
+  /// assignment entries kAssignAhead places ahead, each stage reading
+  /// what the previous one fetched.
+  static constexpr size_t kBoundsAhead = 16;
+  static constexpr size_t kRowAhead = 8;
+  static constexpr size_t kAssignAhead = 4;
+
   std::array<PartitionId, kGatherBlock> buffer;
   /// Deterministic pipeline accounting, flushed by the caller into
   /// partition.greedy.gather.{blocks,prefetched}.
   uint64_t blocks = 0;
   uint64_t prefetched = 0;
+
+  /// Issues the cross-vertex prefetches for position `i` of `chunk`:
+  /// the CSR bounds of chunk[i + kBoundsAhead], the row of
+  /// chunk[i + kRowAhead], and the assignment entries of at most the
+  /// first kGatherPrefetchDist neighbours of chunk[i + kAssignAhead]
+  /// (Accumulate's in-row prefetch covers the rest). Not counted in
+  /// `prefetched`.
+  static void PrefetchAhead(const Graph& graph,
+                            std::span<const VertexId> chunk, size_t i,
+                            const PartitionId* assignment) {
+    if (i + kBoundsAhead < chunk.size()) {
+      graph.PrefetchNeighborBounds(chunk[i + kBoundsAhead]);
+    }
+    if (i + kRowAhead < chunk.size()) {
+      __builtin_prefetch(graph.Neighbors(chunk[i + kRowAhead]).data(), 0, 1);
+    }
+    if (i + kAssignAhead < chunk.size()) {
+      const std::span<const VertexId> row =
+          graph.Neighbors(chunk[i + kAssignAhead]);
+      const size_t len =
+          row.size() < kGatherPrefetchDist ? row.size() : kGatherPrefetchDist;
+      for (size_t j = 0; j < len; ++j) {
+        __builtin_prefetch(&assignment[row[j]], 0, 1);
+      }
+    }
+  }
 
   /// Accumulates the partition histogram of `nbrs` under `assignment`
   /// into `neighbor_counts`, recording each first-touched partition in

@@ -15,35 +15,59 @@ namespace sgp {
 
 namespace {
 
-// Worker-interval scratch of the batched sharded scorers: the combined
+// What a worker-interval scratch maintains beyond the combined loads.
+enum class Track {
+  kLoads,      // loads only (PGG, reference LDG/FENNEL)
+  kEffective,  // + effective loads and their exact max/min (HDRF)
+  kZeroKeys,   // + the zero-key tree of the sparse LDG/FENNEL pick
+};
+
+// Worker-interval scratch of the kFast sharded scorers: the combined
 // (published + own delta) loads materialized as flat arrays at the start
 // of each worker's interval and updated incrementally per placement.
 // Only the owning worker mutates state between barriers, so the scratch
 // stays exactly equal to CombinedLoad/CombinedEffectiveLoad — same
-// integers, same division — for the whole interval.
+// integers, same division — for the whole interval, and the range and
+// tree stay exactly what a fresh scan of it would give.
 struct CombinedLoadScratch {
+  Track track = Track::kLoads;
+  score::GreedyObjective objective;  // kZeroKeys
   std::vector<uint64_t> loads;
-  std::vector<double> effective;
+  std::vector<double> effective;  // kEffective
+  EffectiveRange range;           // kEffective
+  score::ZeroKeyTree tree;        // kZeroKeys
 
-  void Fill(const ShardedPartitionState& shard, uint32_t w, bool eff) {
-    const PartitionId k = shard.global().k();
+  void Fill(const ShardedPartitionState& shard, uint32_t w) {
+    const PartitionState& global = shard.global();
+    const PartitionId k = global.k();
     loads.resize(k);
-    if (eff) effective.resize(k);
-    for (PartitionId p = 0; p < k; ++p) {
-      loads[p] = shard.CombinedLoad(w, p);
-      if (eff) {
-        effective[p] = static_cast<double>(loads[p]) /
-                       shard.global().weights()[p];
+    for (PartitionId p = 0; p < k; ++p) loads[p] = shard.CombinedLoad(w, p);
+    if (track == Track::kEffective) {
+      effective.resize(k);
+      for (PartitionId p = 0; p < k; ++p) {
+        effective[p] = static_cast<double>(loads[p]) / global.weights()[p];
       }
+      range.Rebuild(effective.data(), k);
+    } else if (track == Track::kZeroKeys) {
+      tree.Build(k, [&](PartitionId p) { return ZeroKey(global, p); });
     }
   }
 
-  void AddLoad(const ShardedPartitionState& shard, PartitionId p, bool eff) {
+  void AddLoad(const ShardedPartitionState& shard, PartitionId p) {
+    const PartitionState& global = shard.global();
     ++loads[p];
-    if (eff) {
-      effective[p] = static_cast<double>(loads[p]) /
-                     shard.global().weights()[p];
+    if (track == Track::kEffective) {
+      const double before = effective[p];
+      effective[p] = static_cast<double>(loads[p]) / global.weights()[p];
+      range.Grow(effective.data(), global.k(), before, effective[p]);
+    } else if (track == Track::kZeroKeys) {
+      tree.Update(p, ZeroKey(global, p));
     }
+  }
+
+  score::LeafKey ZeroKey(const PartitionState& global, PartitionId p) const {
+    return score::GreedyZeroKey(objective, loads[p], global.capacity(p),
+                                global.weights()[p]);
   }
 };
 
@@ -102,15 +126,15 @@ ParallelStreamResult RunParallelVertexStream(
   ParallelStreamResult result;
   ScoreCoreStats score_stats;
   std::vector<uint32_t> neighbor_counts(k, 0);
-  std::vector<double> scores(k, 0.0);
   std::vector<PartitionId> touched;
   std::vector<size_t> cursor(s, 0);
   CombinedLoadScratch comb;
   uint64_t tie_breaks = 0;  // counted by the kernels, not reported here
   const bool reference = config.score_mode == ScoreMode::kReference;
-  const score::KernelTier tier = score::ActiveKernelTier();
-  // Pow-form FENNEL has no AVX2 kernel; those picks always run batched.
-  const bool avx2_objective = objective.ldg || objective.sqrt_form;
+  if (!reference) {
+    comb.track = Track::kZeroKeys;
+    comb.objective = objective;
+  }
 
   bool work_left = true;
   while (work_left) {
@@ -122,7 +146,7 @@ ParallelStreamResult RunParallelVertexStream(
         return scratch_view[v] != kInvalidPartition ? scratch_view[v]
                                                     : published[v];
       };
-      comb.Fill(shard, w, /*eff=*/false);
+      comb.Fill(shard, w);
       ++score_stats.batches;
       const size_t end = std::min(cursor[w] + options.sync_interval,
                                   substreams[w].size());
@@ -133,29 +157,26 @@ ParallelStreamResult RunParallelVertexStream(
           if (p == kInvalidPartition) continue;
           if (neighbor_counts[p]++ == 0) touched.push_back(p);
         }
-        score_stats.candidates += k;
         PartitionId best;
         if (reference) {
+          score_stats.candidates += k;
           best = score::GreedyPickScalar(k, neighbor_counts.data(),
                                          comb.loads.data(), weights.data(),
                                          capacity.data(), objective,
                                          &tie_breaks);
         } else {
-          if (avx2_objective) {
-            ++score_stats.simd_picks;
-          } else {
-            ++score_stats.simd_fallbacks;
-          }
-          best = score::GreedyPickFast(tier, k, neighbor_counts.data(),
-                                       comb.loads.data(), weights.data(),
-                                       capacity.data(), objective,
-                                       scores.data());
+          score_stats.candidates += touched.size() + 1;
+          ++score_stats.simd_picks;
+          best = score::GreedyPickSparse(comb.tree, touched,
+                                         neighbor_counts.data(),
+                                         comb.loads.data(), weights.data(),
+                                         capacity.data(), objective);
         }
         if (best == kInvalidPartition) best = u % k;  // all full (stale)
         deltas[w].emplace_back(u, best);
         scratch_view[u] = best;
         shard.AddWorkerLoad(w, best);
-        comb.AddLoad(shard, best, /*eff=*/false);
+        comb.AddLoad(shard, best);
         for (PartitionId p : touched) neighbor_counts[p] = 0;
         touched.clear();
       }
@@ -195,9 +216,10 @@ ParallelStreamResult RunParallelVertexStream(
 // ---------------------------------------------------------------------
 
 // One kFast HDRF placement against worker w's combined view: the
-// combined loads come from the interval scratch and replica membership
-// from the bit rows (published row OR delta row), swept by HdrfPickFast
-// on `tier`. Bit-identical to PlaceHdrfSharded below.
+// combined loads and their exact max/min come from the interval scratch
+// and replica membership from the bit rows (published row OR delta row),
+// swept by HdrfPickFast on `tier`. Bit-identical to PlaceHdrfSharded
+// below, which keeps the O(k) max/min scan as the reference.
 PartitionId PlaceHdrfShardedFast(ShardedPartitionState& shard, uint32_t w,
                                  CombinedLoadScratch& comb, VertexId u,
                                  VertexId v, double lambda,
@@ -211,9 +233,6 @@ PartitionId PlaceHdrfShardedFast(ShardedPartitionState& shard, uint32_t w,
   const double theta_u = du / (du + dv);
   const double theta_v = 1.0 - theta_u;
 
-  double max_load, spread;
-  score::EffectiveSpread(comb.effective.data(), k, &max_load, &spread);
-
   const score::MembershipRow row_u{shard.GlobalReplicaRow(u),
                                    shard.DeltaReplicaRow(w, u)};
   const score::MembershipRow row_v{shard.GlobalReplicaRow(v),
@@ -222,10 +241,11 @@ PartitionId PlaceHdrfShardedFast(ShardedPartitionState& shard, uint32_t w,
   ++stats.simd_picks;
   const PartitionId best = score::HdrfPickFast(
       tier, k, comb.effective.data(), comb.loads.data(), row_u, row_v,
-      theta_u, theta_v, lambda, max_load, spread, &stats.bitset_hits);
+      theta_u, theta_v, lambda, comb.range.max, comb.range.spread(),
+      &stats.bitset_hits);
 
   shard.AddWorkerLoad(w, best);
-  comb.AddLoad(shard, best, /*eff=*/true);
+  comb.AddLoad(shard, best);
   if (!row_u.Test(best)) shard.AddWorkerReplica(w, u, best);
   if (!row_v.Test(best)) shard.AddWorkerReplica(w, v, best);
   return best;
@@ -276,7 +296,7 @@ PartitionId PlacePggShardedFast(ShardedPartitionState& shard, uint32_t w,
   }
 
   shard.AddWorkerLoad(w, target);
-  comb.AddLoad(shard, target, /*eff=*/false);
+  comb.AddLoad(shard, target);
   // Placed degrees update after the decision, as in the sequential code.
   shard.IncrementWorkerDegree(w, u);
   shard.IncrementWorkerDegree(w, v);
@@ -426,6 +446,7 @@ ParallelStreamResult RunParallelEdgeStream(
     const bool is_hdrf = algo == ParallelAlgo::kHdrf;
     ScoreCoreStats score_stats;
     CombinedLoadScratch comb;
+    comb.track = is_hdrf ? Track::kEffective : Track::kLoads;
     std::vector<uint64_t> inter_words((static_cast<uint64_t>(k) + 63) / 64, 0);
     std::vector<PartitionId> all(k);
     for (PartitionId i = 0; i < k; ++i) all[i] = i;
@@ -437,7 +458,7 @@ ParallelStreamResult RunParallelEdgeStream(
     while (work_left) {
       work_left = false;
       for (uint32_t w = 0; w < s; ++w) {
-        if (fast) comb.Fill(shard, w, /*eff=*/is_hdrf);
+        if (fast) comb.Fill(shard, w);
         ++score_stats.batches;
         const size_t end = std::min(cursor[w] + options.sync_interval,
                                     substreams[w].size());

@@ -105,37 +105,48 @@ Partitioning GingerPartitioner::Run(const Graph& graph,
   const double combined_capacity = config.balance_slack *
                                    static_cast<double>(n) /
                                    static_cast<double>(k);
+  // Combined load ½(|Pi_v| + (n/m)|Pi_e|) of Equation (8), passed through
+  // FENNEL's marginal-cost power form. Loads move one partition at a
+  // time, so each move refreshes that partition's entry alone.
+  auto combined_load = [&](PartitionId i) {
+    return 0.5 *
+           (static_cast<double>(vertex_load[i]) +
+            vertices_per_edge * static_cast<double>(edge_load[i])) /
+           cap_weights[i];
+  };
+  for (PartitionId i = 0; i < k; ++i) combined_loads[i] = combined_load(i);
+  core.BeginGingerPass(combined_loads.data(), combined_capacity, alpha,
+                       gamma);
+  auto refresh = [&](PartitionId i) {
+    combined_loads[i] = combined_load(i);
+    core.UpdateGingerLoad(i, combined_loads[i]);
+  };
   InMemoryVertexSource source(graph, config.order, config.seed,
                               config.ingest_chunk_size);
   for (auto stream_chunk = source.NextChunk(); !stream_chunk.empty();
        stream_chunk = source.NextChunk()) {
     core.NoteBatch();
-    for (VertexId v : stream_chunk) {
+    for (size_t i = 0; i < stream_chunk.size(); ++i) {
+      internal_edgecut::NeighborGather::PrefetchAhead(
+          graph, stream_chunk, i, result.vertex_to_partition.data());
+      const VertexId v = stream_chunk[i];
       if (is_high_degree(v)) {
-        result.vertex_to_partition[v] = hash_part(v);
-        state.AddLoad(result.vertex_to_partition[v]);
+        const PartitionId hashed = hash_part(v);
+        result.vertex_to_partition[v] = hashed;
+        state.AddLoad(hashed);
+        refresh(hashed);
         continue;
       }
       // Low-degree: Equation (8) over already-placed neighbors.
       gather.Accumulate(graph.Neighbors(v), result.vertex_to_partition.data(),
                         neighbor_counts.data(), touched);
-      // Combined load ½(|Pi_v| + (n/m)|Pi_e|) of Equation (8), passed
-      // through FENNEL's marginal-cost power form.
-      for (PartitionId i = 0; i < k; ++i) {
-        combined_loads[i] =
-            0.5 *
-            (static_cast<double>(vertex_load[i]) +
-             vertices_per_edge * static_cast<double>(edge_load[i])) /
-            cap_weights[i];
-      }
       PartitionId best = core.PickGingerVertex(
-          neighbor_counts.data(), combined_loads.data(), combined_capacity,
-          alpha, gamma, &tie_breaks);
+          neighbor_counts.data(), touched, combined_loads.data(), &tie_breaks);
       if (best == kInvalidPartition) {
         // Every partition at capacity: least combined load wins.
         best = 0;
-        for (PartitionId i = 1; i < k; ++i) {
-          if (combined_loads[i] < combined_loads[best]) best = i;
+        for (PartitionId p = 1; p < k; ++p) {
+          if (combined_loads[p] < combined_loads[best]) best = p;
         }
       }
       for (PartitionId p : touched) neighbor_counts[p] = 0;
@@ -144,6 +155,7 @@ Partitioning GingerPartitioner::Run(const Graph& graph,
       result.vertex_to_partition[v] = best;
       state.AddLoad(best);
       state.AddSecondaryLoad(best, in_offsets[v + 1] - in_offsets[v]);
+      refresh(best);
     }
   }
 

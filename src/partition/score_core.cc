@@ -16,7 +16,6 @@ struct ScoreMetrics {
   Counter* candidates = nullptr;
   Counter* bitset_hits = nullptr;
   Counter* simd_picks = nullptr;
-  Counter* simd_fallbacks = nullptr;
 
   ScoreMetrics() = default;
   explicit ScoreMetrics(MetricsRegistry& reg) {
@@ -24,7 +23,6 @@ struct ScoreMetrics {
     candidates = reg.GetCounter("partition.score.candidates");
     bitset_hits = reg.GetCounter("partition.score.bitset_hits");
     simd_picks = reg.GetCounter("partition.score.simd.picks");
-    simd_fallbacks = reg.GetCounter("partition.score.simd.fallbacks");
   }
 
   static ScoreMetrics& Get() { return CurrentRegistryMetrics<ScoreMetrics>(); }
@@ -38,9 +36,6 @@ void FlushScoreCoreStats(const ScoreCoreStats& stats) {
   if (stats.candidates > 0) m.candidates->Increment(stats.candidates);
   if (stats.bitset_hits > 0) m.bitset_hits->Increment(stats.bitset_hits);
   if (stats.simd_picks > 0) m.simd_picks->Increment(stats.simd_picks);
-  if (stats.simd_fallbacks > 0) {
-    m.simd_fallbacks->Increment(stats.simd_fallbacks);
-  }
 }
 
 ScoreCore::ScoreCore(PartitionState& state, ScoreMode mode)
@@ -48,7 +43,6 @@ ScoreCore::ScoreCore(PartitionState& state, ScoreMode mode)
   const PartitionId k = state_.k();
   SGP_CHECK(k > 0);
   if (mode_ == ScoreMode::kFast) {
-    scores_.resize(k, 0.0);
     inter_words_.resize((static_cast<uint64_t>(k) + 63) / 64, 0);
     if (state_.replicas_enabled()) state_.replicas().EnableBitIndex(k);
     tier_ = score::ActiveKernelTier();
@@ -56,6 +50,30 @@ ScoreCore::ScoreCore(PartitionState& state, ScoreMode mode)
     all_.resize(k);
     for (PartitionId i = 0; i < k; ++i) all_[i] = i;
   }
+}
+
+void ScoreCore::BeginGreedyPass(const score::GreedyObjective& objective) {
+  greedy_ = objective;
+  if (mode_ != ScoreMode::kFast) return;
+  const std::vector<uint64_t>& loads = state_.loads();
+  const std::vector<double>& capacity = state_.capacities();
+  const std::vector<double>& weights = state_.weights();
+  tree_.Build(state_.k(), [&](PartitionId p) {
+    return score::GreedyZeroKey(greedy_, loads[p], capacity[p], weights[p]);
+  });
+}
+
+void ScoreCore::BeginGingerPass(const double* combined_loads,
+                                double combined_capacity, double alpha,
+                                double gamma) {
+  ginger_capacity_ = combined_capacity;
+  ginger_alpha_ = alpha;
+  ginger_gamma_ = gamma;
+  if (mode_ != ScoreMode::kFast) return;
+  tree_.Build(state_.k(), [&](PartitionId p) {
+    return score::GingerZeroKey(combined_loads[p], combined_capacity, alpha,
+                                gamma);
+  });
 }
 
 PartitionId ScoreCore::PlaceHdrfEdgeScalar(VertexId u, VertexId v,

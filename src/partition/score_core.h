@@ -42,7 +42,10 @@ namespace sgp {
 ///    intrinsics when the CPU has them, otherwise the batched
 ///    word-at-a-time kernels. HDRF's balance-term max/spread comes from
 ///    PartitionState's incremental tracker instead of a per-edge O(k)
-///    scan. Same selections, no tie-audit counters.
+///    scan. The vertex-greedy family (LDG, FENNEL, restreaming, Ginger)
+///    skips the k-way sweep altogether: a sparse pick over the touched
+///    partitions plus a tournament tree of zero-neighbour keys. Same
+///    selections, no tie-audit counters.
 ///
 /// Every floating-point expression is textually identical between modes
 /// (and to the pre-ScoreCore algorithms), so assignments match down to
@@ -56,9 +59,7 @@ struct ScoreCoreStats {
   uint64_t batches = 0;      // chunk-level scorer invocations
   uint64_t candidates = 0;   // candidate partitions evaluated
   uint64_t bitset_hits = 0;  // replica-membership bits found set (kFast)
-  uint64_t simd_picks = 0;   // picks served by the kFast dispatch
-  uint64_t simd_fallbacks = 0;  // kFast picks with no AVX2 kernel, always
-                                // batched (pow-form FENNEL)
+  uint64_t simd_picks = 0;   // picks served by the kFast path
 };
 
 /// Flushes `stats` into the current registry's
@@ -197,40 +198,11 @@ inline PartitionId GreedyPickScalar(PartitionId k,
   return best;
 }
 
-/// Batched LDG/FENNEL pick: phase 1 materializes every candidate score
-/// into `scores` with capacity violations masked to −inf (branch-free,
-/// auto-vectorizable over the SoA arrays); phase 2 is the same argmax /
-/// tie-break scan as the scalar path. A masked −inf can never win (> is
-/// strict and the tie-break needs loads[i] < best_load, which starts at 0
-/// with unsigned loads), so selection matches the scalar skip exactly.
-inline PartitionId GreedyPickBatched(PartitionId k,
-                                     const uint32_t* neighbor_counts,
-                                     const uint64_t* loads,
-                                     const double* weights,
-                                     const double* capacity,
-                                     const GreedyObjective& obj,
-                                     double* scores) {
-  for (PartitionId i = 0; i < k; ++i) {
-    const double size = static_cast<double>(loads[i]);
-    const double sc =
-        GreedyScore(obj, neighbor_counts[i], size, capacity[i], weights[i]);
-    scores[i] = size + 1.0 > capacity[i] ? kNegInf : sc;
-  }
-  PartitionId best = kInvalidPartition;
-  double best_score = kNegInf;
-  uint64_t best_load = 0;
-  for (PartitionId i = 0; i < k; ++i) {
-    if (scores[i] > best_score) {
-      best_score = scores[i];
-      best = i;
-      best_load = loads[i];
-    } else if (scores[i] == best_score && best != kInvalidPartition &&
-               loads[i] < best_load) {
-      best = i;
-      best_load = loads[i];
-    }
-  }
-  return best;
+/// Ginger's Equation (8) score of one candidate: neighbour count minus the
+/// FENNEL γ-power penalty on the combined load.
+inline double GingerScore(uint32_t count, double combined_load, double alpha,
+                          double gamma) {
+  return static_cast<double>(count) - alpha * gamma * std::sqrt(combined_load);
 }
 
 /// Ginger pick over caller-materialized combined loads ½(|P_v| +
@@ -248,8 +220,7 @@ inline PartitionId GingerPickScalar(PartitionId k,
   for (PartitionId i = 0; i < k; ++i) {
     const double load = combined_loads[i];
     if (load >= combined_capacity) continue;
-    const double sc = static_cast<double>(neighbor_counts[i]) -
-                      alpha * gamma * std::sqrt(load);
+    const double sc = GingerScore(neighbor_counts[i], load, alpha, gamma);
     if (sc > best_score || (sc == best_score && load < best_load)) {
       if (sc == best_score) ++*tie_breaks;
       best_score = sc;
@@ -260,35 +231,148 @@ inline PartitionId GingerPickScalar(PartitionId k,
   return best;
 }
 
-/// Batched Ginger pick: masked score materialization + the scalar argmax.
-/// A masked −inf never wins: > is strict against the −inf start, and the
-/// tie-break needs load < best_load, which starts at 0 with non-negative
-/// combined loads.
-inline PartitionId GingerPickBatched(PartitionId k,
-                                     const uint32_t* neighbor_counts,
-                                     const double* combined_loads,
-                                     double combined_capacity, double alpha,
-                                     double gamma, double* scores) {
-  for (PartitionId i = 0; i < k; ++i) {
-    const double load = combined_loads[i];
-    const double sc = static_cast<double>(neighbor_counts[i]) -
-                      alpha * gamma * std::sqrt(load);
-    scores[i] = load >= combined_capacity ? kNegInf : sc;
+// -----------------------------------------------------------------------
+// Sparse vertex-greedy pick (kFast for LDG, FENNEL, their restreaming
+// variants, Ginger phase 1 and the sharded LDG/FENNEL driver; DESIGN.md
+// §Sparse greedy pick).
+//
+// The scalar scans above select the lexicographic best of (score ↓,
+// tie load ↑, id ↑) over the eligible partitions whose score is > −∞.
+// A partition with no neighbour of v scores from its own load alone — its
+// "zero key". Every other partition's real score is ≥ its zero score under
+// IEEE rounding (c − x ≥ 0 − x and c·f ≥ 0·f for c ≥ 0, f ≥ 0), so no
+// untouched partition can beat the best zero key. The winner is therefore
+// the best of the tournament tree's top and the touched partitions scored
+// with their real counts: O(|touched| + log k) per vertex instead of O(k).
+// -----------------------------------------------------------------------
+
+/// True when key a = (score_a, tie_a, a) precedes key b in the pick order:
+/// higher score, then lower tie load, then lower id.
+inline bool KeyBefore(double score_a, double tie_a, PartitionId a,
+                      double score_b, double tie_b, PartitionId b) {
+  if (score_a != score_b) return score_a > score_b;
+  if (tie_a != tie_b) return tie_a < tie_b;
+  return a < b;
+}
+
+/// Zero-neighbour key of one partition: its score with no neighbours
+/// (−∞ when ineligible) and the load its ties are broken on.
+struct LeafKey {
+  double score;
+  double tie;
+};
+
+/// LDG/FENNEL zero key: GreedyScore with count 0, −∞ at capacity, ties on
+/// the integer load (exact in a double below 2^53).
+inline LeafKey GreedyZeroKey(const GreedyObjective& obj, uint64_t load,
+                             double capacity, double weight) {
+  const double size = static_cast<double>(load);
+  return {size + 1.0 > capacity ? kNegInf
+                                : GreedyScore(obj, 0, size, capacity, weight),
+          size};
+}
+
+/// Ginger zero key: 0 − αγ·√load, −∞ at or above the combined capacity,
+/// ties on the combined load.
+inline LeafKey GingerZeroKey(double combined_load, double combined_capacity,
+                             double alpha, double gamma) {
+  return {combined_load >= combined_capacity
+              ? kNegInf
+              : GingerScore(0, combined_load, alpha, gamma),
+          combined_load};
+}
+
+/// Tournament tree over the k zero keys: node i holds the best partition
+/// of its subtree, leaves sit at [k, 2k) (node k + p is partition p), and
+/// node 1 is the best overall. The order is a strict total order, so the
+/// shape of the implicit tree cannot change the winner.
+class ZeroKeyTree {
+ public:
+  /// Rebuilds every leaf from key(p) → LeafKey: O(k). Called once per
+  /// pass (restreaming anneals α) or per sharded worker interval.
+  template <typename KeyFn>
+  void Build(PartitionId k, KeyFn&& key) {
+    k_ = k;
+    keys_.resize(k);
+    node_.resize(2 * static_cast<size_t>(k));
+    for (PartitionId p = 0; p < k; ++p) {
+      keys_[p] = key(p);
+      node_[k + p] = p;
+    }
+    for (size_t i = k; i-- > 1;) node_[i] = Better(node_[2 * i], node_[2 * i + 1]);
   }
-  PartitionId best = kInvalidPartition;
-  double best_score = kNegInf;
-  double best_load = 0;
-  for (PartitionId i = 0; i < k; ++i) {
-    const double load = combined_loads[i];
-    if (scores[i] > best_score ||
-        (scores[i] == best_score && best != kInvalidPartition &&
-         load < best_load)) {
-      best_score = scores[i];
-      best = i;
-      best_load = load;
+
+  /// Replaces leaf p's key and replays its path to the root: O(log k).
+  void Update(PartitionId p, LeafKey key) {
+    keys_[p] = key;
+    for (size_t i = (static_cast<size_t>(k_) + p) >> 1; i >= 1; i >>= 1) {
+      node_[i] = Better(node_[2 * i], node_[2 * i + 1]);
     }
   }
-  return best;
+
+  PartitionId top() const { return node_[1]; }
+  const LeafKey& key(PartitionId p) const { return keys_[p]; }
+
+  /// The sparse pick: the best of the tree top and every touched
+  /// partition under its real score `real_score(p)`; kInvalidPartition
+  /// when the best score is −∞ (every partition ineligible). A touched
+  /// partition whose zero key is −∞ is ineligible and skipped.
+  template <typename RealScoreFn>
+  PartitionId Pick(std::span<const PartitionId> touched,
+                   RealScoreFn&& real_score) const {
+    PartitionId best = top();
+    double best_score = keys_[best].score;
+    double best_tie = keys_[best].tie;
+    for (PartitionId p : touched) {
+      const LeafKey& zero = keys_[p];
+      if (zero.score == kNegInf) continue;
+      const double sc = real_score(p);
+      if (KeyBefore(sc, zero.tie, p, best_score, best_tie, best)) {
+        best = p;
+        best_score = sc;
+        best_tie = zero.tie;
+      }
+    }
+    return best_score == kNegInf ? kInvalidPartition : best;
+  }
+
+ private:
+  PartitionId Better(PartitionId a, PartitionId b) const {
+    return KeyBefore(keys_[a].score, keys_[a].tie, a, keys_[b].score,
+                     keys_[b].tie, b)
+               ? a
+               : b;
+  }
+
+  PartitionId k_ = 0;
+  std::vector<LeafKey> keys_;
+  std::vector<PartitionId> node_;  // [1, k) internal winners, [k, 2k) leaves
+};
+
+/// Sparse LDG/FENNEL pick: selection equals GreedyPickScalar's over the
+/// loads `tree` was built and updated from.
+inline PartitionId GreedyPickSparse(const ZeroKeyTree& tree,
+                                    std::span<const PartitionId> touched,
+                                    const uint32_t* neighbor_counts,
+                                    const uint64_t* loads,
+                                    const double* weights,
+                                    const double* capacity,
+                                    const GreedyObjective& obj) {
+  return tree.Pick(touched, [&](PartitionId p) {
+    return GreedyScore(obj, neighbor_counts[p], static_cast<double>(loads[p]),
+                       capacity[p], weights[p]);
+  });
+}
+
+/// Sparse Ginger pick: selection equals GingerPickScalar's over the
+/// combined loads `tree` holds as tie keys.
+inline PartitionId GingerPickSparse(const ZeroKeyTree& tree,
+                                    std::span<const PartitionId> touched,
+                                    const uint32_t* neighbor_counts,
+                                    double alpha, double gamma) {
+  return tree.Pick(touched, [&](PartitionId p) {
+    return GingerScore(neighbor_counts[p], tree.key(p).tie, alpha, gamma);
+  });
 }
 
 /// Least effectively-loaded partition with room for one more element
@@ -383,9 +467,11 @@ inline void IntersectRows(PartitionId k, MembershipRow a, MembershipRow b,
 // tier; batches / candidates / bitset_hits are computed identically on
 // both, keeping every deterministic counter ISA-independent.
 //
-// Preconditions (hold for every caller in this repo, asserted in debug):
-// partition loads < 2^52 (exact u64→double magic conversion) and neighbor
-// counts < 2^31 (signed i32→double lanes).
+// The vertex-greedy family has no dense kernel here: its kFast picks are
+// the sparse picks above, the same on every tier.
+//
+// Precondition (holds for every caller in this repo): partition loads
+// < 2^52 (exact u64→double magic conversion).
 // -----------------------------------------------------------------------
 
 enum class KernelTier {
@@ -414,23 +500,6 @@ PartitionId HdrfPickFast(KernelTier tier, PartitionId k,
                          double theta_u, double theta_v, double lambda,
                          double max_load, double spread,
                          uint64_t* bitset_hits);
-
-/// LDG/FENNEL pick on `tier`; pow-form FENNEL has no AVX2 kernel and
-/// always runs GreedyPickBatched. Selection matches GreedyPickScalar,
-/// incl. kInvalidPartition when all full. `scores` is k doubles of
-/// scratch for the batched kernel.
-PartitionId GreedyPickFast(KernelTier tier, PartitionId k,
-                           const uint32_t* neighbor_counts,
-                           const uint64_t* loads, const double* weights,
-                           const double* capacity, const GreedyObjective& obj,
-                           double* scores);
-
-/// Ginger pick on `tier`; selection matches GingerPickScalar.
-PartitionId GingerPickFast(KernelTier tier, PartitionId k,
-                           const uint32_t* neighbor_counts,
-                           const double* combined_loads,
-                           double combined_capacity, double alpha,
-                           double gamma, double* scores);
 
 /// Least-effectively-loaded-with-room scan on `tier`; matches
 /// LeastLoadedWithRoom (0 when every partition is at capacity).
@@ -613,45 +682,73 @@ class ScoreCore {
 
   // ---------------------------------------------------------------------
   // Vertex-greedy family (LDG / FENNEL / re-streaming): the caller
-  // gathers |P ∩ N(u)| into a dense scratch and the core performs the
-  // k-way pick. kInvalidPartition when every partition is at capacity.
+  // gathers |P ∩ N(u)| into a dense scratch, listing the partitions it
+  // touched, and the core picks. kReference scans all k partitions;
+  // kFast runs the sparse pick over the touched partitions and the
+  // zero-key tree, which follows every load move made through
+  // AddGreedyLoad / RemoveGreedyLoad. kInvalidPartition when every
+  // partition is at capacity.
   // ---------------------------------------------------------------------
+
+  /// Starts one pass over the vertex stream under `objective` (restreaming
+  /// anneals α per pass, so kFast rebuilds the tree here).
+  void BeginGreedyPass(const score::GreedyObjective& objective);
+
   PartitionId PickGreedyVertex(const uint32_t* neighbor_counts,
-                               const score::GreedyObjective& objective,
+                               std::span<const PartitionId> touched,
                                uint64_t* tie_breaks) {
-    stats_.candidates += state_.k();
     if (mode_ == ScoreMode::kReference) {
+      stats_.candidates += state_.k();
       return score::GreedyPickScalar(
           state_.k(), neighbor_counts, state_.loads().data(),
-          state_.weights().data(), state_.capacities().data(), objective,
+          state_.weights().data(), state_.capacities().data(), greedy_,
           tie_breaks);
     }
-    if (objective.ldg || objective.sqrt_form) {
-      ++stats_.simd_picks;
-    } else {
-      ++stats_.simd_fallbacks;
-    }
-    return score::GreedyPickFast(
-        tier_, state_.k(), neighbor_counts, state_.loads().data(),
-        state_.weights().data(), state_.capacities().data(), objective,
-        scores_.data());
+    stats_.candidates += touched.size() + 1;
+    ++stats_.simd_picks;
+    return score::GreedyPickSparse(tree_, touched, neighbor_counts,
+                                   state_.loads().data(),
+                                   state_.weights().data(),
+                                   state_.capacities().data(), greedy_);
   }
 
-  /// Ginger (Equation 8) pick over caller-materialized combined loads.
+  void AddGreedyLoad(PartitionId p) {
+    state_.AddLoad(p);
+    if (mode_ == ScoreMode::kFast) RefreshGreedyLeaf(p);
+  }
+  void RemoveGreedyLoad(PartitionId p) {
+    state_.RemoveLoad(p);
+    if (mode_ == ScoreMode::kFast) RefreshGreedyLeaf(p);
+  }
+
+  // ---------------------------------------------------------------------
+  // Ginger (Equation 8) over caller-owned combined loads: the caller
+  // reports every combined-load change through UpdateGingerLoad.
+  // ---------------------------------------------------------------------
+  void BeginGingerPass(const double* combined_loads, double combined_capacity,
+                       double alpha, double gamma);
+
   PartitionId PickGingerVertex(const uint32_t* neighbor_counts,
+                               std::span<const PartitionId> touched,
                                const double* combined_loads,
-                               double combined_capacity, double alpha,
-                               double gamma, uint64_t* tie_breaks) {
-    stats_.candidates += state_.k();
+                               uint64_t* tie_breaks) {
     if (mode_ == ScoreMode::kReference) {
+      stats_.candidates += state_.k();
       return score::GingerPickScalar(state_.k(), neighbor_counts,
-                                     combined_loads, combined_capacity,
-                                     alpha, gamma, tie_breaks);
+                                     combined_loads, ginger_capacity_,
+                                     ginger_alpha_, ginger_gamma_, tie_breaks);
     }
+    stats_.candidates += touched.size() + 1;
     ++stats_.simd_picks;
-    return score::GingerPickFast(tier_, state_.k(), neighbor_counts,
-                                 combined_loads, combined_capacity, alpha,
-                                 gamma, scores_.data());
+    return score::GingerPickSparse(tree_, touched, neighbor_counts,
+                                   ginger_alpha_, ginger_gamma_);
+  }
+
+  void UpdateGingerLoad(PartitionId p, double combined_load) {
+    if (mode_ == ScoreMode::kFast) {
+      tree_.Update(p, score::GingerZeroKey(combined_load, ginger_capacity_,
+                                           ginger_alpha_, ginger_gamma_));
+    }
   }
 
   /// Edge-stream greedy placement rule: least effectively-loaded
@@ -684,12 +781,21 @@ class ScoreCore {
  private:
   PartitionId PickPggScalar(VertexId u, VertexId v, uint32_t ext_degree_u,
                             uint32_t ext_degree_v);
+  void RefreshGreedyLeaf(PartitionId p) {
+    tree_.Update(p, score::GreedyZeroKey(greedy_, state_.load(p),
+                                         state_.capacity(p),
+                                         state_.weights()[p]));
+  }
 
   PartitionState& state_;
   ScoreMode mode_;
   score::KernelTier tier_ = score::KernelTier::kBatched;  // kFast only
   ScoreCoreStats stats_;
-  std::vector<double> scores_;        // batched candidate scores, size k
+  score::ZeroKeyTree tree_;           // kFast vertex-greedy / Ginger picks
+  score::GreedyObjective greedy_;     // objective of the current pass
+  double ginger_capacity_ = 0;
+  double ginger_alpha_ = 0;
+  double ginger_gamma_ = 0;
   std::vector<uint64_t> inter_words_; // intersection scratch, ceil(k/64)
   std::vector<PartitionId> all_;      // [0, k), the scalar PGG cold set
   std::vector<PartitionId> inter_;    // scalar PGG intersection scratch

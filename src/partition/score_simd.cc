@@ -58,31 +58,6 @@ PartitionId HdrfPickFast(KernelTier tier, PartitionId k,
                          lambda, max_load, spread, bitset_hits);
 }
 
-PartitionId GreedyPickFast(KernelTier tier, PartitionId k,
-                           const uint32_t* neighbor_counts,
-                           const uint64_t* loads, const double* weights,
-                           const double* capacity, const GreedyObjective& obj,
-                           double* scores) {
-  if (UseAvx2(tier) && (obj.ldg || obj.sqrt_form)) {
-    return avx2::GreedyPick(k, neighbor_counts, loads, weights, capacity, obj);
-  }
-  return GreedyPickBatched(k, neighbor_counts, loads, weights, capacity, obj,
-                           scores);
-}
-
-PartitionId GingerPickFast(KernelTier tier, PartitionId k,
-                           const uint32_t* neighbor_counts,
-                           const double* combined_loads,
-                           double combined_capacity, double alpha,
-                           double gamma, double* scores) {
-  if (UseAvx2(tier)) {
-    return avx2::GingerPick(k, neighbor_counts, combined_loads,
-                            combined_capacity, alpha, gamma);
-  }
-  return GingerPickBatched(k, neighbor_counts, combined_loads,
-                           combined_capacity, alpha, gamma, scores);
-}
-
 PartitionId LeastLoadedWithRoomFast(KernelTier tier, PartitionId k,
                                     const uint64_t* loads,
                                     const double* weights,

@@ -10,8 +10,7 @@
 //     for the strictly positive gains),
 //   - u64 loads become doubles via the 2^52 magic-number trick, exact for
 //     values < 2^52 (partition loads are element counts),
-//   - neighbor counts ride signed i32→double lanes, exact below 2^31,
-//   - vdivpd / vsqrtpd are correctly rounded per element.
+//   - vdivpd is correctly rounded per element.
 // The argmax runs lane-wise with the incumbent-keeping rule (indices
 // ascend within a lane, so full ties keep the lower id), then the four
 // lane winners and the scalar tail merge through the full lexicographic
@@ -60,24 +59,6 @@ inline void MergeU64(LexBestU64* b, double score, uint64_t load,
   }
 }
 
-// Same, with double loads (Ginger's combined loads).
-struct LexBestF64 {
-  double score = kNegInf;
-  double load = 0;
-  PartitionId index = kInvalidPartition;
-};
-
-inline void MergeF64(LexBestF64* b, double score, double load,
-                     PartitionId index) {
-  if (score > b->score ||
-      (score == b->score &&
-       (load < b->load || (load == b->load && index < b->index)))) {
-    b->score = score;
-    b->load = load;
-    b->index = index;
-  }
-}
-
 // Running lexicographic argmin over (effective load asc, index asc) for
 // the least-loaded scans.
 struct LexMin {
@@ -114,19 +95,6 @@ inline __m256d BlendPd(__m256d keep, __m256d take, __m256d mask) {
 inline __m256i BlendI64(__m256i keep, __m256i take, __m256d mask) {
   return _mm256_castpd_si256(_mm256_blendv_pd(
       _mm256_castsi256_pd(keep), _mm256_castsi256_pd(take), mask));
-}
-
-// Keep in sync with score::GreedyScore (score_core.h); re-derived here so
-// this unit emits no COMDAT-inline copy compiled with AVX2 flags. The
-// dispatcher guarantees sqrt-form (or LDG).
-inline double GreedyScoreTail(const GreedyObjective& obj, uint32_t count,
-                              double size, double capacity, double weight) {
-  if (obj.ldg) {
-    return static_cast<double>(count) * (1.0 - size / capacity);
-  }
-  const double eff = size / weight;
-  const double load = std::sqrt(eff);
-  return static_cast<double>(count) - obj.alpha * obj.gamma * load;
 }
 
 }  // namespace
@@ -234,137 +202,6 @@ PartitionId HdrfPick(PartitionId k, const double* effective,
   return best.index;
 }
 
-PartitionId GreedyPick(PartitionId k, const uint32_t* neighbor_counts,
-                       const uint64_t* loads, const double* weights,
-                       const double* capacity, const GreedyObjective& obj) {
-  const double ag = obj.alpha * obj.gamma;
-  const __m256d v_one = _mm256_set1_pd(1.0);
-  const __m256d v_neg_inf = _mm256_set1_pd(kNegInf);
-  const __m256d v_ag = _mm256_set1_pd(ag);
-  const __m256i v_four = _mm256_set1_epi64x(4);
-  const __m256i lane_off = _mm256_setr_epi64x(0, 1, 2, 3);
-
-  __m256d best_sc = _mm256_set1_pd(kNegInf);
-  __m256i best_ld = _mm256_setzero_si256();
-  __m256i best_ix = _mm256_setzero_si256();
-  __m256i cur_ix = lane_off;
-
-  const PartitionId vec_end = k & ~PartitionId{3};
-  PartitionId i = 0;
-  for (; i < vec_end; i += 4) {
-    const __m256i ld = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(loads + i));
-    const __m256d size = U64ToDouble(ld);
-    const __m256d cap = _mm256_loadu_pd(capacity + i);
-    const __m256d cnt = _mm256_cvtepi32_pd(_mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(neighbor_counts + i)));
-    __m256d sc;
-    if (obj.ldg) {
-      // count · (1 − size/capacity)
-      sc = _mm256_mul_pd(cnt,
-                         _mm256_sub_pd(v_one, _mm256_div_pd(size, cap)));
-    } else {
-      // count − (αγ)·√(size/weight)
-      const __m256d wgt = _mm256_loadu_pd(weights + i);
-      sc = _mm256_sub_pd(
-          cnt, _mm256_mul_pd(v_ag,
-                             _mm256_sqrt_pd(_mm256_div_pd(size, wgt))));
-    }
-    const __m256d over =
-        _mm256_cmp_pd(_mm256_add_pd(size, v_one), cap, _CMP_GT_OQ);
-    sc = BlendPd(sc, v_neg_inf, over);
-    const __m256d gt = _mm256_cmp_pd(sc, best_sc, _CMP_GT_OQ);
-    const __m256d eq = _mm256_cmp_pd(sc, best_sc, _CMP_EQ_OQ);
-    const __m256d lighter =
-        _mm256_castsi256_pd(_mm256_cmpgt_epi64(best_ld, ld));
-    const __m256d take = _mm256_or_pd(gt, _mm256_and_pd(eq, lighter));
-    best_sc = BlendPd(best_sc, sc, take);
-    best_ld = BlendI64(best_ld, ld, take);
-    best_ix = BlendI64(best_ix, cur_ix, take);
-    cur_ix = _mm256_add_epi64(cur_ix, v_four);
-  }
-
-  LexBestU64 best;
-  if (vec_end > 0) {
-    alignas(32) double lane_sc[4];
-    alignas(32) uint64_t lane_ld[4];
-    alignas(32) uint64_t lane_ix[4];
-    _mm256_store_pd(lane_sc, best_sc);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ld), best_ld);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ix), best_ix);
-    for (int l = 0; l < 4; ++l) {
-      MergeU64(&best, lane_sc[l], lane_ld[l],
-               static_cast<PartitionId>(lane_ix[l]));
-    }
-  }
-  for (; i < k; ++i) {
-    const double size = static_cast<double>(loads[i]);
-    const double sc =
-        GreedyScoreTail(obj, neighbor_counts[i], size, capacity[i],
-                        weights[i]);
-    MergeU64(&best, size + 1.0 > capacity[i] ? kNegInf : sc, loads[i], i);
-  }
-  return best.score == kNegInf ? kInvalidPartition : best.index;
-}
-
-PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
-                       const double* combined_loads, double combined_capacity,
-                       double alpha, double gamma) {
-  const double ag = alpha * gamma;
-  const __m256d v_neg_inf = _mm256_set1_pd(kNegInf);
-  const __m256d v_ag = _mm256_set1_pd(ag);
-  const __m256d v_cap = _mm256_set1_pd(combined_capacity);
-  const __m256i v_four = _mm256_set1_epi64x(4);
-  const __m256i lane_off = _mm256_setr_epi64x(0, 1, 2, 3);
-
-  __m256d best_sc = _mm256_set1_pd(kNegInf);
-  __m256d best_ld = _mm256_setzero_pd();
-  __m256i best_ix = _mm256_setzero_si256();
-  __m256i cur_ix = lane_off;
-
-  const PartitionId vec_end = k & ~PartitionId{3};
-  PartitionId i = 0;
-  for (; i < vec_end; i += 4) {
-    const __m256d ld = _mm256_loadu_pd(combined_loads + i);
-    const __m256d cnt = _mm256_cvtepi32_pd(_mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(neighbor_counts + i)));
-    // count − (αγ)·√load
-    __m256d sc = _mm256_sub_pd(cnt, _mm256_mul_pd(v_ag, _mm256_sqrt_pd(ld)));
-    const __m256d over = _mm256_cmp_pd(ld, v_cap, _CMP_GE_OQ);
-    sc = BlendPd(sc, v_neg_inf, over);
-    const __m256d gt = _mm256_cmp_pd(sc, best_sc, _CMP_GT_OQ);
-    const __m256d eq = _mm256_cmp_pd(sc, best_sc, _CMP_EQ_OQ);
-    const __m256d lighter = _mm256_cmp_pd(ld, best_ld, _CMP_LT_OQ);
-    const __m256d take = _mm256_or_pd(gt, _mm256_and_pd(eq, lighter));
-    best_sc = BlendPd(best_sc, sc, take);
-    best_ld = BlendPd(best_ld, ld, take);
-    best_ix = BlendI64(best_ix, cur_ix, take);
-    cur_ix = _mm256_add_epi64(cur_ix, v_four);
-  }
-
-  LexBestF64 best;
-  if (vec_end > 0) {
-    alignas(32) double lane_sc[4];
-    alignas(32) double lane_ld[4];
-    alignas(32) uint64_t lane_ix[4];
-    _mm256_store_pd(lane_sc, best_sc);
-    _mm256_store_pd(lane_ld, best_ld);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ix), best_ix);
-    for (int l = 0; l < 4; ++l) {
-      MergeF64(&best, lane_sc[l], lane_ld[l],
-               static_cast<PartitionId>(lane_ix[l]));
-    }
-  }
-  for (; i < k; ++i) {
-    const double load = combined_loads[i];
-    const double sc =
-        static_cast<double>(neighbor_counts[i]) - alpha * gamma *
-        std::sqrt(load);
-    MergeF64(&best, load >= combined_capacity ? kNegInf : sc, load, i);
-  }
-  return best.score == kNegInf ? kInvalidPartition : best.index;
-}
-
 namespace {
 
 // Shared least-loaded scan: effective loads with capacity-violating (or
@@ -450,18 +287,6 @@ bool Available() { return false; }
 PartitionId HdrfPick(PartitionId, const double*, const uint64_t*,
                      MembershipRow, MembershipRow, double, double, double,
                      double, double, uint64_t*) {
-  SGP_CHECK(false);
-  return kInvalidPartition;
-}
-
-PartitionId GreedyPick(PartitionId, const uint32_t*, const uint64_t*,
-                       const double*, const double*, const GreedyObjective&) {
-  SGP_CHECK(false);
-  return kInvalidPartition;
-}
-
-PartitionId GingerPick(PartitionId, const uint32_t*, const double*, double,
-                       double, double) {
   SGP_CHECK(false);
   return kInvalidPartition;
 }

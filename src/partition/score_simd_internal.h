@@ -22,14 +22,6 @@ PartitionId HdrfPick(PartitionId k, const double* effective,
                      double lambda, double max_load, double spread,
                      uint64_t* bitset_hits);
 
-PartitionId GreedyPick(PartitionId k, const uint32_t* neighbor_counts,
-                       const uint64_t* loads, const double* weights,
-                       const double* capacity, const GreedyObjective& obj);
-
-PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
-                       const double* combined_loads, double combined_capacity,
-                       double alpha, double gamma);
-
 PartitionId LeastLoadedWithRoom(PartitionId k, const uint64_t* loads,
                                 const double* weights, const double* capacity);
 

@@ -100,28 +100,32 @@ void PartitionState::InitCapacities(uint64_t total_items,
   }
 }
 
-void PartitionState::InitEffectiveLoads() {
-  effective_.resize(k_);
+void EffectiveRange::Rebuild(const double* effective, PartitionId k) {
   // Same accumulation as score::EffectiveSpread: the max starts at 0.
-  max_effective_ = 0;
-  for (PartitionId i = 0; i < k_; ++i) {
-    effective_[i] = static_cast<double>(loads_[i]) / weights_[i];
-    max_effective_ = std::max(max_effective_, effective_[i]);
-  }
-  RescanMinEffective();
+  max = 0;
+  for (PartitionId i = 0; i < k; ++i) max = std::max(max, effective[i]);
+  RescanMin(effective, k);
 }
 
-void PartitionState::RescanMinEffective() {
-  min_effective_ = effective_[0];
-  min_count_ = 0;
-  for (PartitionId i = 0; i < k_; ++i) {
-    if (effective_[i] < min_effective_) {
-      min_effective_ = effective_[i];
-      min_count_ = 1;
-    } else if (effective_[i] == min_effective_) {
-      ++min_count_;
+void EffectiveRange::RescanMin(const double* effective, PartitionId k) {
+  min = effective[0];
+  min_count = 0;
+  for (PartitionId i = 0; i < k; ++i) {
+    if (effective[i] < min) {
+      min = effective[i];
+      min_count = 1;
+    } else if (effective[i] == min) {
+      ++min_count;
     }
   }
+}
+
+void PartitionState::InitEffectiveLoads() {
+  effective_.resize(k_);
+  for (PartitionId i = 0; i < k_; ++i) {
+    effective_[i] = static_cast<double>(loads_[i]) / weights_[i];
+  }
+  effective_range_.Rebuild(effective_.data(), k_);
 }
 
 void PartitionState::InitSecondaryLoads() { secondary_.assign(k_, 0); }

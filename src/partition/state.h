@@ -13,6 +13,40 @@
 
 namespace sgp {
 
+/// Exact running max and min of an array of effective loads that only
+/// grow, so HDRF's balance-term normalization costs O(1) per placement
+/// instead of an O(k) scan.
+///
+/// Invariant (DESIGN.md §10): `max` and `min` equal the values
+/// score::EffectiveSpread computes over the array (the max starts at 0),
+/// and `min_count` is the number of entries equal to `min`. The max moves
+/// with the updated entry; the min only moves when the last entry at it
+/// grows — then one O(k) rescan (about 1/k of updates).
+struct EffectiveRange {
+  double max = 0;
+  double min = 0;
+  PartitionId min_count = 0;
+
+  /// Recomputes max, min and min_count over effective[0, k).
+  void Rebuild(const double* effective, PartitionId k);
+
+  /// Entry `before` of effective[0, k) has just grown to `after`.
+  void Grow(const double* effective, PartitionId k, double before,
+            double after) {
+    max = std::max(max, after);
+    if (before == min && after != before && --min_count == 0) {
+      RescanMin(effective, k);
+    }
+  }
+
+  /// The HDRF spread 1 + (max − min), bit-identical to
+  /// score::EffectiveSpread's.
+  double spread() const { return 1.0 + (max - min); }
+
+ private:
+  void RescanMin(const double* effective, PartitionId k);
+};
+
 /// Shared partition-state core: the O(n + k) synopsis every streaming
 /// partitioner maintains (Section 2). One PartitionState owns the
 /// per-partition loads, the mean-1 normalized capacity weights of
@@ -73,37 +107,23 @@ class PartitionState {
   // ---------------------------------------------------------------------
   // Incrementally maintained effective loads (HDRF reads all k per edge,
   // so the division is paid once per placement, not k times per edge),
-  // plus their exact max and min, so the HDRF balance term's
-  // normalization costs O(1) per edge instead of an O(k) scan.
-  //
-  // Invariant (DESIGN.md §10): max_effective_ and min_effective_ equal the
-  // values score::EffectiveSpread computes over effective_, and
-  // min_count_ is the number of partitions whose effective load equals
-  // min_effective_. Effective loads only grow, so the max moves with the
-  // updated partition and the min only moves when the last partition at
-  // it grows — then one O(k) rescan (about 1/k of updates).
+  // plus their exact max and min (EffectiveRange).
   // ---------------------------------------------------------------------
   void InitEffectiveLoads();
   const std::vector<double>& effective() const { return effective_; }
   void AddLoadUpdatingEffective(PartitionId p) {
     ++loads_[p];
     const double before = effective_[p];
-    const double after = static_cast<double>(loads_[p]) / weights_[p];
-    effective_[p] = after;
-    max_effective_ = std::max(max_effective_, after);
-    if (before == min_effective_ && after != before && --min_count_ == 0) {
-      RescanMinEffective();
-    }
+    effective_[p] = static_cast<double>(loads_[p]) / weights_[p];
+    effective_range_.Grow(effective_.data(), k_, before, effective_[p]);
   }
 
   /// Max effective load and the HDRF spread 1 + (max − min), bit-identical
   /// to score::EffectiveSpread over effective(). Valid after
   /// InitEffectiveLoads while loads change only through
   /// AddLoadUpdatingEffective.
-  double max_effective() const { return max_effective_; }
-  double effective_spread() const {
-    return 1.0 + (max_effective_ - min_effective_);
-  }
+  double max_effective() const { return effective_range_.max; }
+  double effective_spread() const { return effective_range_.spread(); }
 
   // ---------------------------------------------------------------------
   // Secondary loads (Ginger balances vertex and edge load jointly).
@@ -162,17 +182,13 @@ class PartitionState {
   uint64_t SynopsisBytes() const;
 
  private:
-  void RescanMinEffective();
-
   PartitionId k_;
   bool heterogeneous_;
   std::vector<double> weights_;
   std::vector<uint64_t> loads_;
   std::vector<double> capacity_;
   std::vector<double> effective_;
-  double max_effective_ = 0;
-  double min_effective_ = 0;
-  PartitionId min_count_ = 0;
+  EffectiveRange effective_range_;
   std::vector<uint64_t> secondary_;
   std::vector<uint32_t> degree_;
   bool degree_enabled_ = false;

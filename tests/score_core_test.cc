@@ -1,5 +1,6 @@
 // ScoreCore suite: the bit-packed membership structures, the batched and
-// AVX2 scoring kernels against their scalar references, and end-to-end
+// AVX2 scoring kernels and the sparse vertex-greedy pick against their
+// scalar references, and end-to-end
 // reference-vs-fast equivalence for every partitioner family —
 // sequential, sharded parallel, and the vertex-discovering ingest path.
 // The fast mode is only allowed to be faster, never different
@@ -7,6 +8,7 @@
 // supports (the batched kernels always, AVX2 when present), and the
 // end-to-end checks run kFast on both the hardware tier and the forced
 // batched tier, so one test binary pins tier-vs-tier agreement too.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
@@ -172,64 +174,8 @@ TEST(ReplicaStateTest, BitIndexMirrorsMembership) {
 
 // ---------------------------------------------------------------------
 // Kernel properties: batched == scalar on randomized states, including
-// capacity masking and tie-breaks.
+// tie-breaks.
 // ---------------------------------------------------------------------
-
-TEST(ScoreKernelTest, GreedyBatchedMatchesScalar) {
-  std::mt19937_64 rng(7);
-  for (PartitionId k : {1u, 3u, 64u, 65u, 128u, 130u}) {
-    std::vector<uint32_t> counts(k);
-    std::vector<uint64_t> loads(k);
-    std::vector<double> weights(k), capacity(k), scores(k);
-    for (int trial = 0; trial < 200; ++trial) {
-      for (PartitionId i = 0; i < k; ++i) {
-        counts[i] = rng() % 4;  // small range forces score ties
-        loads[i] = rng() % 6;
-        weights[i] = 1.0 + 0.5 * (rng() % 3);
-        // Tight capacities force masked candidates (and sometimes all-full).
-        capacity[i] = static_cast<double>(rng() % 8);
-      }
-      for (bool ldg : {true, false}) {
-        score::GreedyObjective obj;
-        obj.ldg = ldg;
-        obj.alpha = 1.25;
-        obj.gamma = 1.5;
-        obj.sqrt_form = true;
-        uint64_t ties = 0;
-        const PartitionId a =
-            score::GreedyPickScalar(k, counts.data(), loads.data(),
-                                    weights.data(), capacity.data(), obj,
-                                    &ties);
-        const PartitionId b =
-            score::GreedyPickBatched(k, counts.data(), loads.data(),
-                                     weights.data(), capacity.data(), obj,
-                                     scores.data());
-        ASSERT_EQ(a, b) << "k=" << k << " trial=" << trial << " ldg=" << ldg;
-      }
-    }
-  }
-}
-
-TEST(ScoreKernelTest, GingerBatchedMatchesScalar) {
-  std::mt19937_64 rng(11);
-  for (PartitionId k : {1u, 3u, 64u, 130u}) {
-    std::vector<uint32_t> counts(k);
-    std::vector<double> combined(k), scores(k);
-    for (int trial = 0; trial < 200; ++trial) {
-      for (PartitionId i = 0; i < k; ++i) {
-        counts[i] = rng() % 4;
-        combined[i] = static_cast<double>(rng() % 10);
-      }
-      const double cap = static_cast<double>(rng() % 12);
-      uint64_t ties = 0;
-      const PartitionId a = score::GingerPickScalar(
-          k, counts.data(), combined.data(), cap, 1.5, 1.5, &ties);
-      const PartitionId b = score::GingerPickBatched(
-          k, counts.data(), combined.data(), cap, 1.5, 1.5, scores.data());
-      ASSERT_EQ(a, b) << "k=" << k << " trial=" << trial;
-    }
-  }
-}
 
 TEST(ScoreKernelTest, HdrfBatchedMatchesContainsProbes) {
   std::mt19937_64 rng(13);
@@ -289,71 +235,6 @@ TEST(ScoreKernelTest, HdrfBatchedMatchesContainsProbes) {
 // below one lane group, one word ± one, and the multi-word regime —
 // with and without heterogeneous capacities, on every available tier.
 // ---------------------------------------------------------------------
-
-TEST(ScoreKernelTest, GreedyFastMatchesScalarAtAwkwardK) {
-  std::mt19937_64 rng(17);
-  for (PartitionId k : {3u, 63u, 64u, 65u, 128u}) {
-    std::vector<uint32_t> counts(k);
-    std::vector<uint64_t> loads(k);
-    std::vector<double> weights(k), capacity(k), scores(k);
-    for (int trial = 0; trial < 200; ++trial) {
-      const bool hetero = trial % 2 == 1;
-      for (PartitionId i = 0; i < k; ++i) {
-        counts[i] = rng() % 4;  // small range forces score ties
-        loads[i] = rng() % 6;
-        weights[i] = hetero ? 1.0 + 0.5 * (rng() % 3) : 1.0;
-        // Tight capacities force masked candidates (and sometimes
-        // all-full, where every mode must return kInvalidPartition).
-        capacity[i] = 1.0 + static_cast<double>(rng() % 7);
-      }
-      for (bool ldg : {true, false}) {
-        score::GreedyObjective obj;
-        obj.ldg = ldg;
-        obj.alpha = 1.25;
-        obj.gamma = 1.5;
-        obj.sqrt_form = true;
-        uint64_t ties = 0;
-        const PartitionId want =
-            score::GreedyPickScalar(k, counts.data(), loads.data(),
-                                    weights.data(), capacity.data(), obj,
-                                    &ties);
-        for (score::KernelTier tier : AvailableTiers()) {
-          const PartitionId got = score::GreedyPickFast(
-              tier, k, counts.data(), loads.data(), weights.data(),
-              capacity.data(), obj, scores.data());
-          ASSERT_EQ(got, want)
-              << "k=" << k << " trial=" << trial << " ldg=" << ldg
-              << " tier=" << score::KernelTierName(tier);
-        }
-      }
-    }
-  }
-}
-
-TEST(ScoreKernelTest, GingerFastMatchesScalarAtAwkwardK) {
-  std::mt19937_64 rng(19);
-  for (PartitionId k : {3u, 63u, 64u, 65u, 128u}) {
-    std::vector<uint32_t> counts(k);
-    std::vector<double> combined(k), scores(k);
-    for (int trial = 0; trial < 200; ++trial) {
-      for (PartitionId i = 0; i < k; ++i) {
-        counts[i] = rng() % 4;
-        combined[i] = static_cast<double>(rng() % 10);
-      }
-      const double cap = 1.0 + static_cast<double>(rng() % 11);
-      uint64_t ties = 0;
-      const PartitionId want = score::GingerPickScalar(
-          k, counts.data(), combined.data(), cap, 1.5, 1.5, &ties);
-      for (score::KernelTier tier : AvailableTiers()) {
-        const PartitionId got = score::GingerPickFast(
-            tier, k, counts.data(), combined.data(), cap, 1.5, 1.5,
-            scores.data());
-        ASSERT_EQ(got, want) << "k=" << k << " trial=" << trial
-                             << " tier=" << score::KernelTierName(tier);
-      }
-    }
-  }
-}
 
 TEST(ScoreKernelTest, HdrfFastMatchesBatchedAtAwkwardK) {
   std::mt19937_64 rng(23);
@@ -432,6 +313,236 @@ TEST(ScoreKernelTest, LeastLoadedFastMatchesScalarAtAwkwardK) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Sparse vertex-greedy pick: the zero-key tournament tree plus the
+// touched partitions must select exactly what the k-way scalar scans
+// select, through randomized load moves (placements, restreaming
+// removals, per-pass α changes), engineered score and load ties, and
+// partitions at capacity up to the all-full case.
+// ---------------------------------------------------------------------
+
+enum class SparseKind { kLdg, kFennelSqrt, kFennelPow, kGinger };
+
+const char* SparseKindName(SparseKind kind) {
+  switch (kind) {
+    case SparseKind::kLdg: return "LDG";
+    case SparseKind::kFennelSqrt: return "FENNEL-sqrt";
+    case SparseKind::kFennelPow: return "FENNEL-pow";
+    case SparseKind::kGinger: return "Ginger";
+  }
+  return "?";
+}
+
+// One randomized state of the sparse-pick property test: integer loads,
+// capacity weights and caps, a zero-key tree kept in step with every load
+// move, and Ginger's combined loads ½·load/w (multiples of ¼ for the
+// heterogeneous weights below, so combined-load ties are frequent).
+class SparsePickHarness {
+ public:
+  SparsePickHarness(SparseKind kind, PartitionId k, bool hetero,
+                    std::mt19937_64& rng)
+      : kind_(kind), k_(k), loads_(k, 0), weights_(k), capacity_(k),
+        combined_(k, 0.0), counts_(k, 0) {
+    for (PartitionId i = 0; i < k; ++i) {
+      weights_[i] = hetero ? 1.0 + 0.5 * static_cast<double>(rng() % 3) : 1.0;
+      // Small caps: partitions fill up within a few hundred moves.
+      capacity_[i] = 1.0 + static_cast<double>(rng() % 5) * weights_[i];
+    }
+    ginger_capacity_ = 0.5 + static_cast<double>(rng() % 4);
+    obj_.ldg = kind == SparseKind::kLdg;
+    obj_.gamma = kind == SparseKind::kFennelPow ? 2.0 : 1.5;
+    obj_.sqrt_form = kind != SparseKind::kFennelPow;
+    obj_.alpha = 0.75;
+    Rebuild();
+  }
+
+  // A new pass: α grows (restreaming anneals it) and the tree is rebuilt.
+  void NextPass() {
+    obj_.alpha *= 1.5;
+    Rebuild();
+  }
+
+  void AddLoad(PartitionId p) {
+    ++loads_[p];
+    Refresh(p);
+  }
+  void RemoveLoad(PartitionId p) {
+    --loads_[p];
+    Refresh(p);
+  }
+  uint64_t load(PartitionId p) const { return loads_[p]; }
+
+  // Sets the neighbour histogram of the next vertex: `touched` in
+  // first-touch order, each with a count ≥ 1.
+  void SetCounts(const std::vector<PartitionId>& touched,
+                 const std::vector<uint32_t>& counts) {
+    for (PartitionId p : touched_) counts_[p] = 0;
+    touched_ = touched;
+    for (size_t j = 0; j < touched.size(); ++j) counts_[touched[j]] = counts[j];
+  }
+
+  PartitionId Scalar() const {
+    uint64_t ties = 0;
+    if (kind_ == SparseKind::kGinger) {
+      return score::GingerPickScalar(k_, counts_.data(), combined_.data(),
+                                     ginger_capacity_, obj_.alpha, 1.5,
+                                     &ties);
+    }
+    return score::GreedyPickScalar(k_, counts_.data(), loads_.data(),
+                                   weights_.data(), capacity_.data(), obj_,
+                                   &ties);
+  }
+
+  PartitionId Sparse() const {
+    if (kind_ == SparseKind::kGinger) {
+      return score::GingerPickSparse(tree_, touched_, counts_.data(),
+                                     obj_.alpha, 1.5);
+    }
+    return score::GreedyPickSparse(tree_, touched_, counts_.data(),
+                                   loads_.data(), weights_.data(),
+                                   capacity_.data(), obj_);
+  }
+
+ private:
+  score::LeafKey Key(PartitionId p) const {
+    if (kind_ == SparseKind::kGinger) {
+      return score::GingerZeroKey(combined_[p], ginger_capacity_, obj_.alpha,
+                                  1.5);
+    }
+    return score::GreedyZeroKey(obj_, loads_[p], capacity_[p], weights_[p]);
+  }
+  void Refresh(PartitionId p) {
+    combined_[p] = 0.5 * static_cast<double>(loads_[p]) / weights_[p];
+    tree_.Update(p, Key(p));
+  }
+  void Rebuild() {
+    tree_.Build(k_, [&](PartitionId p) { return Key(p); });
+  }
+
+  SparseKind kind_;
+  PartitionId k_;
+  std::vector<uint64_t> loads_;
+  std::vector<double> weights_, capacity_, combined_;
+  double ginger_capacity_ = 0;
+  score::GreedyObjective obj_;
+  std::vector<uint32_t> counts_;
+  std::vector<PartitionId> touched_;
+  score::ZeroKeyTree tree_;
+};
+
+TEST(SparsePickTest, MatchesScalarScansThroughRandomLoadMoves) {
+  for (SparseKind kind : {SparseKind::kLdg, SparseKind::kFennelSqrt,
+                          SparseKind::kFennelPow, SparseKind::kGinger}) {
+    for (PartitionId k : {1u, 2u, 3u, 63u, 64u, 65u, 128u, 512u}) {
+      for (bool hetero : {false, true}) {
+        std::mt19937_64 rng(1000003 * k + 31 * static_cast<int>(kind) +
+                            hetero);
+        SparsePickHarness h(kind, k, hetero, rng);
+        // Enough moves to fill every cap (≤ 5·2 per partition) and then
+        // drain and refill around the all-full state.
+        const int steps = 400 + 12 * static_cast<int>(k);
+        int all_full = 0;
+        std::vector<PartitionId> touched;
+        std::vector<uint32_t> counts;
+        for (int step = 0; step < steps; ++step) {
+          if (step > 0 && step % 250 == 0) h.NextPass();
+          // Restreaming removal: a vertex leaves its partition.
+          if (rng() % 4 == 0) {
+            const PartitionId p = static_cast<PartitionId>(rng() % k);
+            if (h.load(p) > 0) h.RemoveLoad(p);
+          }
+          // Neighbour histogram over up to 6 distinct partitions. Equal
+          // counts on partitions of equal load engineer score ties that
+          // only the load or id order can break.
+          touched.clear();
+          counts.clear();
+          const size_t want = rng() % std::min<PartitionId>(k + 1, 7);
+          const uint32_t shared_count = 1 + static_cast<uint32_t>(rng() % 3);
+          const bool tie_counts = rng() % 2 == 0;
+          for (size_t j = 0; j < want; ++j) {
+            const PartitionId p = static_cast<PartitionId>(rng() % k);
+            if (std::find(touched.begin(), touched.end(), p) !=
+                touched.end()) {
+              continue;
+            }
+            touched.push_back(p);
+            counts.push_back(tie_counts
+                                 ? shared_count
+                                 : 1 + static_cast<uint32_t>(rng() % 3));
+          }
+          h.SetCounts(touched, counts);
+          const PartitionId want_pick = h.Scalar();
+          const PartitionId got = h.Sparse();
+          ASSERT_EQ(got, want_pick)
+              << SparseKindName(kind) << " k=" << k << " hetero=" << hetero
+              << " step=" << step;
+          if (want_pick == kInvalidPartition) {
+            ++all_full;
+            // Over-capacity fallback placement, as the drivers do.
+            h.AddLoad(static_cast<PartitionId>(rng() % k));
+          } else {
+            h.AddLoad(want_pick);
+          }
+        }
+        EXPECT_GT(all_full, 0) << SparseKindName(kind) << " k=" << k
+                               << " hetero=" << hetero
+                               << ": the all-full case was never reached";
+      }
+    }
+  }
+}
+
+TEST(SparsePickTest, EngineeredTiesFollowLoadThenId) {
+  const PartitionId k = 65;
+  std::vector<uint64_t> loads(k, 2);
+  std::vector<double> weights(k, 1.0), capacity(k, 10.0);
+  std::vector<uint32_t> counts(k, 0);
+  score::GreedyObjective ldg;
+  score::ZeroKeyTree tree;
+  auto rebuild = [&] {
+    tree.Build(k, [&](PartitionId p) {
+      return score::GreedyZeroKey(ldg, loads[p], capacity[p], weights[p]);
+    });
+  };
+  auto pick = [&](std::vector<PartitionId> touched) {
+    uint64_t ties = 0;
+    const PartitionId want = score::GreedyPickScalar(
+        k, counts.data(), loads.data(), weights.data(), capacity.data(), ldg,
+        &ties);
+    const PartitionId got = score::GreedyPickSparse(
+        tree, touched, counts.data(), loads.data(), weights.data(),
+        capacity.data(), ldg);
+    EXPECT_EQ(got, want);
+    return got;
+  };
+  rebuild();
+  // No neighbours, equal loads: the lowest id.
+  EXPECT_EQ(pick({}), 0u);
+  // Equal zero scores, one lighter partition: the lighter one.
+  loads[40] = 1;
+  rebuild();
+  EXPECT_EQ(pick({}), 40u);
+  // Equal real scores on two touched partitions of equal load: lower id,
+  // even when it is touched second.
+  counts[9] = 2;
+  counts[5] = 2;
+  EXPECT_EQ(pick({9, 5}), 5u);
+  // Equal real scores, the higher id lighter: load beats id.
+  loads[9] = 1;
+  tree.Update(9, score::GreedyZeroKey(ldg, loads[9], capacity[9], 1.0));
+  EXPECT_EQ(pick({9, 5}), 9u);
+  counts[9] = counts[5] = 0;
+  // Every partition at capacity: no pick, with or without neighbours.
+  std::fill(loads.begin(), loads.end(), 10);
+  rebuild();
+  counts[3] = 1;
+  EXPECT_EQ(pick({3}), kInvalidPartition);
+  // One partition regains room: it wins, untouched.
+  loads[64] = 9;
+  tree.Update(64, score::GreedyZeroKey(ldg, loads[64], capacity[64], 1.0));
+  EXPECT_EQ(pick({3}), 64u);
 }
 
 // ---------------------------------------------------------------------
