@@ -35,6 +35,15 @@ inline std::optional<uint64_t> ParseUint64(std::string_view text) {
   return value;
 }
 
+/// Strict parse of a floating-point number (strtod syntax, so "inf" and
+/// "nan" parse too): the whole of `text` must be consumed.
+inline std::optional<double> ParseDouble(const std::string& text) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') return std::nullopt;
+  return parsed;
+}
+
 class FlagParser {
  public:
   FlagParser(int argc, char** argv) {
@@ -83,12 +92,10 @@ class FlagParser {
   std::optional<double> TakeDouble(std::string_view name) {
     std::optional<std::string> value = TakeString(name);
     if (!value) return std::nullopt;
-    char* end = nullptr;
-    const double parsed = std::strtod(value->c_str(), &end);
-    if (end == value->c_str() || *end != '\0') {
+    const std::optional<double> parsed = ParseDouble(*value);
+    if (!parsed) {
       Fail(std::string("option ") + std::string(name) +
            " expects a number, got '" + *value + "'");
-      return std::nullopt;
     }
     return parsed;
   }

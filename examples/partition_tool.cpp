@@ -16,10 +16,12 @@
 //
 // Options:
 //   --directed            treat the input as a directed graph (in-memory)
-//   --order <o>           stream order: natural|random|bfs|dfs (in-memory)
+//   --order <o>           stream order: natural|random|bfs|dfs (in-memory;
+//                         anything else is rejected with exit code 1)
 //   --chunk-size <n>      elements per ingest chunk (both modes)
 //   --seed <s>            RNG/hash seed
-//   --slack <b>           balance slack β (default 1.05)
+//   --slack <b>           balance slack β, a finite number >= 1.0
+//                         (default 1.05)
 //   --score-mode <m>      scoring kernels: reference|fast (default fast;
 //                         both produce bit-identical partitionings; fast
 //                         prints its dispatched kernel tier, avx2 or
@@ -31,6 +33,7 @@
 // <k> is the number of partitions, an integer in [1, 4294967295]; any
 // other value is rejected with exit code 1.
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -47,6 +50,7 @@
 #include "partition/partitioner.h"
 #include "partition/score_core.h"
 #include "stream/source.h"
+#include "stream/stream.h"
 
 namespace {
 
@@ -80,12 +84,27 @@ int main(int argc, char** argv) {
       flags.TakeString("--input-edgelist").value_or("");
   const bool directed = flags.TakeBool("--directed");
   if (auto order = flags.TakeString("--order")) {
-    config.order = ParseStreamOrder(*order);
+    const std::optional<StreamOrder> parsed = ParseStreamOrder(*order);
+    if (!parsed) {
+      std::cerr << "error: unknown stream order '" << *order
+                << "'; valid values: natural|random|bfs|dfs\n";
+      return 1;
+    }
+    config.order = *parsed;
   }
   const uint64_t chunk_size = flags.TakeUint64("--chunk-size").value_or(0);
   config.seed = flags.TakeUint64("--seed").value_or(config.seed);
-  config.balance_slack =
-      flags.TakeDouble("--slack").value_or(config.balance_slack);
+  if (auto slack = flags.TakeString("--slack")) {
+    // β < 1 caps every partition below its share of n/k, so the stream
+    // cannot be placed within the caps.
+    const std::optional<double> parsed = ParseDouble(*slack);
+    if (!parsed || !std::isfinite(*parsed) || *parsed < 1.0) {
+      std::cerr << "error: --slack must be a finite number >= 1.0, got '"
+                << *slack << "'\n";
+      return 1;
+    }
+    config.balance_slack = *parsed;
+  }
   if (auto mode = flags.TakeString("--score-mode")) {
     if (!ParseScoreMode(*mode, &config.score_mode)) {
       std::cerr << "error: unknown score mode '" << *mode

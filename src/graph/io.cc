@@ -102,15 +102,20 @@ bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 // skip whitespace, take an optional sign, then decimal digits. A missing
 // digit or a value above 2^64 - 1 fails, as it sets failbit there.
 // std::from_chars alone rejects the sign and the leading whitespace.
-bool ScanId(const char** pos, const char* end, uint64_t* value) {
+// `*text` is the id as written (sign and digits), for diagnostics: a
+// negative id wraps around in `*value`, as it does in the istream.
+bool ScanId(const char** pos, const char* end, uint64_t* value,
+            std::string_view* text) {
   const char* p = *pos;
   while (p != end && IsSpace(*p)) ++p;
+  const char* start = p;
   const bool negative = p != end && *p == '-';
   if (p != end && (*p == '+' || *p == '-')) ++p;
   uint64_t magnitude = 0;
   const auto [next, ec] = std::from_chars(p, end, magnitude);
   if (ec != std::errc()) return false;
   *value = negative ? 0 - magnitude : magnitude;
+  *text = std::string_view(start, static_cast<size_t>(next - start));
   *pos = next;
   return true;
 }
@@ -127,16 +132,20 @@ EdgeLineStatus ParseEdgeListLine(std::string_view line,
   const char* end = pos + line.size();
   uint64_t src = 0;
   uint64_t dst = 0;
-  if (!ScanId(&pos, end, &src) || !ScanId(&pos, end, &dst)) {
+  std::string_view src_text;
+  std::string_view dst_text;
+  if (!ScanId(&pos, end, &src, &src_text) ||
+      !ScanId(&pos, end, &dst, &dst_text)) {
     // Truncated or garbage line: recoverable, the caller skips it but
     // keeps a count so a clean read can be told from a degraded one.
     return EdgeLineStatus::kSkipped;
   }
   const uint64_t limit = id_limit;
   if (src >= limit || dst >= limit) {
+    // Quote the larger (wrapped) id as written, so "-1" reads as -1.
     *error = "line " + std::to_string(line_number) + ": vertex id " +
-             std::to_string(std::max(src, dst)) + " out of range (limit " +
-             std::to_string(limit) + ")";
+             std::string(src >= dst ? src_text : dst_text) +
+             " out of range (limit " + std::to_string(limit) + ")";
     return EdgeLineStatus::kError;
   }
   edge->src = static_cast<VertexId>(src);

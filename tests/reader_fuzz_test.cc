@@ -33,6 +33,20 @@ struct OracleRead {
   std::vector<Edge> edges;
 };
 
+// The id `index` (0 or 1) of `line` as written: the characters an
+// istringstream consumes for it after the leading whitespace.
+std::string IdText(const std::string& line, int index) {
+  std::istringstream ls(line);
+  uint64_t id = 0;
+  if (index == 1) ls >> id;
+  ls >> std::ws;
+  const auto start = static_cast<size_t>(ls.tellg());
+  ls >> id;
+  const size_t end =
+      ls.eof() ? line.size() : static_cast<size_t>(ls.tellg());
+  return line.substr(start, end - start);
+}
+
 // The reference reader: getline splits lines, istringstream scans ids.
 OracleRead OracleParse(const std::string& bytes, VertexId num_vertices) {
   const uint64_t limit = num_vertices != 0 ? num_vertices : kInvalidVertex;
@@ -52,8 +66,9 @@ OracleRead OracleParse(const std::string& bytes, VertexId num_vertices) {
     }
     if (src >= limit || dst >= limit) {
       std::ostringstream msg;
-      msg << "line " << line_number << ": vertex id " << std::max(src, dst)
-          << " out of range (limit " << limit << ")";
+      msg << "line " << line_number << ": vertex id "
+          << IdText(line, src >= dst ? 0 : 1) << " out of range (limit "
+          << limit << ")";
       r.ok = false;
       r.error = msg.str();
       return r;

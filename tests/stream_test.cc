@@ -105,8 +105,10 @@ TEST(EdgeStreamTest, BfsOrderGroupsByTraversal) {
 TEST(StreamOrderTest, ParseAndNameRoundTrip) {
   for (StreamOrder o : {StreamOrder::kNatural, StreamOrder::kRandom,
                         StreamOrder::kBfs, StreamOrder::kDfs}) {
-    EXPECT_EQ(ParseStreamOrder(StreamOrderName(o)), o);
+    EXPECT_EQ(ParseStreamOrder(StreamOrderName(o)).value(), o);
   }
+  EXPECT_FALSE(ParseStreamOrder("bogus").has_value());
+  EXPECT_FALSE(ParseStreamOrder("").has_value());
 }
 
 }  // namespace
