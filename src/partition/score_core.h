@@ -302,11 +302,17 @@ class ZeroKeyTree {
     for (size_t i = k; i-- > 1;) node_[i] = Better(node_[2 * i], node_[2 * i + 1]);
   }
 
-  /// Replaces leaf p's key and replays its path to the root: O(log k).
+  /// Replaces leaf p's key and replays its path to the root, O(log k).
+  /// The replay stops at the first node whose winner is unchanged and is
+  /// not p: that node's (id, key) is what it was, so no ancestor can
+  /// change. A placement only worsens p's key, so unless p led its
+  /// subtree the replay ends one level up.
   void Update(PartitionId p, LeafKey key) {
     keys_[p] = key;
     for (size_t i = (static_cast<size_t>(k_) + p) >> 1; i >= 1; i >>= 1) {
-      node_[i] = Better(node_[2 * i], node_[2 * i + 1]);
+      const PartitionId winner = Better(node_[2 * i], node_[2 * i + 1]);
+      if (winner == node_[i] && winner != p) return;
+      node_[i] = winner;
     }
   }
 

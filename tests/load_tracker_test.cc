@@ -11,8 +11,10 @@
 #include "partition/vertexcut/replica_state.h"
 
 // The bookkeeping behind kFast HDRF-family placement: PartitionState's
-// incremental max/min effective load (checked bit for bit against the
-// O(k) score::EffectiveSpread scan the reference path still runs),
+// incremental max/min effective load (its EffectiveRange, the same
+// tracker the sharded HDRF driver keeps per worker interval; checked bit
+// for bit against the O(k) score::EffectiveSpread scan the reference path
+// still runs),
 // ReplicaState's bit-index early-out in Add (checked against a table
 // without the index), and BitMatrix's geometric row growth.
 
