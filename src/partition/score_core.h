@@ -499,7 +499,7 @@ KernelTier ActiveKernelTier();
 
 /// HDRF candidate sweep on `tier`: same scores, selection and bitset-hit
 /// audit as HdrfPickBatched, no tie audit. A forced kAvx2 on a host
-/// without AVX2 runs the batched kernel, here and in the picks below.
+/// without AVX2 runs the batched kernel, here and in the scans below.
 PartitionId HdrfPickFast(KernelTier tier, PartitionId k,
                          const double* effective, const uint64_t* loads,
                          MembershipRow u_row, MembershipRow v_row,
@@ -527,7 +527,7 @@ PartitionId LeastLoadedAllFast(KernelTier tier, PartitionId k,
 inline constexpr size_t kScorePrefetchAhead = 8;
 
 /// Per-run scoring context: binds a PartitionState, the mode, the scratch
-/// buffers (candidate scores, intersection words) and the decision
+/// (intersection words, the vertex-greedy zero-key tree) and the decision
 /// counters; under kFast it enables the replica bit index and resolves
 /// the kernel tier once, at construction. Flushes partition.score.* on
 /// destruction.
