@@ -234,7 +234,7 @@ inline PartitionId GingerPickScalar(PartitionId k,
 // -----------------------------------------------------------------------
 // Sparse vertex-greedy pick (kFast for LDG, FENNEL, their restreaming
 // variants, Ginger phase 1 and the sharded LDG/FENNEL driver; DESIGN.md
-// §Sparse greedy pick).
+// §11).
 //
 // The scalar scans above select the lexicographic best of (score ↓,
 // tie load ↑, id ↑) over the eligible partitions whose score is > −∞.
@@ -299,7 +299,9 @@ class ZeroKeyTree {
       keys_[p] = key(p);
       node_[k + p] = p;
     }
-    for (size_t i = k; i-- > 1;) node_[i] = Better(node_[2 * i], node_[2 * i + 1]);
+    for (size_t i = k; i-- > 1;) {
+      node_[i] = Better(node_[2 * i], node_[2 * i + 1]);
+    }
   }
 
   /// Replaces leaf p's key and replays its path to the root, O(log k).
