@@ -80,6 +80,55 @@ TEST(StreamIngestTest, MatchesMaterializedPartitioner) {
   }
 }
 
+// Streamed masters are the graph path's winner rule applied to the
+// streamed edge placement. The oracle, DeriveMasterPlacement, rebuilds
+// the incidence table from the graph, so it shares nothing with the
+// per-edge tally a RunOnSource keeps. R-MAT hubs at k up to 128 push
+// replica rows far past their inline capacity; chunk size 1 also puts
+// every edge in its own scorer batch.
+TEST(StreamIngestTest, StreamedMastersMatchGraphDerivation) {
+  Graph g = MakeDataset("twitter", 11);
+  struct Shape {
+    PartitionId k;
+    bool heterogeneous;
+  };
+  const Shape shapes[] = {{4, false}, {5, false}, {32, false}, {128, false},
+                          {12, true}};
+  for (const char* algo : {"VCR", "DBH", "HDRF", "2PS", "HEP"}) {
+    for (const Shape& shape : shapes) {
+      PartitionConfig cfg;
+      cfg.k = shape.k;
+      cfg.seed = 7;
+      cfg.order = StreamOrder::kNatural;
+      if (shape.heterogeneous) {
+        for (PartitionId p = 0; p < shape.k; ++p) {
+          cfg.capacity_weights.push_back(1.0 + (p % 4));
+        }
+      }
+      for (uint64_t chunk : {1ull, 4096ull}) {
+        const std::string where = std::string(algo) +
+                                  " k=" + std::to_string(shape.k) +
+                                  (shape.heterogeneous ? " hetero" : "") +
+                                  " chunk=" + std::to_string(chunk);
+        InMemoryEdgeSource source(g, StreamOrder::kNatural, cfg.seed, chunk);
+        StreamRunResult r = CreatePartitioner(algo)->RunOnSource(source, cfg);
+        ASSERT_TRUE(r.ok) << where << ": " << r.error;
+        ASSERT_EQ(r.partitioning.edge_to_partition.size(), g.num_edges())
+            << where;
+        ASSERT_LE(r.num_vertices, g.num_vertices()) << where;
+        Partitioning oracle;
+        oracle.k = cfg.k;
+        oracle.edge_to_partition = r.partitioning.edge_to_partition;
+        DeriveMasterPlacement(g, &oracle);
+        oracle.vertex_to_partition.resize(r.num_vertices);
+        EXPECT_EQ(r.partitioning.vertex_to_partition,
+                  oracle.vertex_to_partition)
+            << where;
+      }
+    }
+  }
+}
+
 // The bounded-memory disk source yields the same edge sequence as the
 // in-memory natural-order source, so every ingest algorithm must agree —
 // at any chunk size.
