@@ -11,33 +11,54 @@
 
 namespace sgp {
 
-/// The winner rule of master placement (Appendix B): the partition of
-/// `row` with the most incident edges, ties toward the lower partition id,
-/// never `skip` (a failed worker). Returns kInvalidPartition when no entry
-/// is left. `Entry` exposes `partition` and `count()`.
-template <typename Entry>
-PartitionId MostIncident(std::span<const Entry> row,
-                         PartitionId skip = kInvalidPartition) {
+/// The winner rule of master placement (Appendix B): among `size` row
+/// entries, entry i on partition `partition_at(i)` with `count_at(i)`
+/// incident edges, the one with the most, ties toward the lower partition
+/// id, never `skip` (a failed worker). Returns kInvalidPartition when no
+/// entry is left. The pick depends only on the set of (partition, count)
+/// pairs, never on their order in the row.
+template <typename PartitionAt, typename CountAt>
+PartitionId MostIncidentAt(size_t size, PartitionAt&& partition_at,
+                           CountAt&& count_at,
+                           PartitionId skip = kInvalidPartition) {
   PartitionId best = kInvalidPartition;
   uint32_t best_count = 0;
-  for (const Entry& e : row) {
-    if (e.partition == skip) continue;
-    if (best == kInvalidPartition || e.count() > best_count ||
-        (e.count() == best_count && e.partition < best)) {
-      best = e.partition;
-      best_count = e.count();
+  for (size_t i = 0; i < size; ++i) {
+    const PartitionId p = partition_at(i);
+    if (p == skip) continue;
+    const uint32_t c = count_at(i);
+    if (best == kInvalidPartition || c > best_count ||
+        (c == best_count && p < best)) {
+      best = p;
+      best_count = c;
     }
   }
   return best;
 }
 
-/// Master of vertex `u`: MostIncident over its row; a vertex without
-/// incident edges is hashed onto one of the k partitions.
+/// MostIncidentAt over a row of entries exposing `partition` and
+/// `count()`.
+template <typename Entry>
+PartitionId MostIncident(std::span<const Entry> row,
+                         PartitionId skip = kInvalidPartition) {
+  return MostIncidentAt(
+      row.size(), [&](size_t i) { return row[i].partition; },
+      [&](size_t i) { return row[i].count(); }, skip);
+}
+
+/// Master of vertex `u` given the winner of its row; a vertex without
+/// incident edges (no winner) is hashed onto one of the k partitions.
+inline PartitionId MasterOrHash(VertexId u, PartitionId k,
+                                PartitionId winner) {
+  return winner != kInvalidPartition
+             ? winner
+             : static_cast<PartitionId>(HashU64(u) % k);
+}
+
+/// Master of vertex `u`: MostIncident over its row, else hashed.
 template <typename Entry>
 PartitionId PickMaster(VertexId u, PartitionId k, std::span<const Entry> row) {
-  const PartitionId best = MostIncident(row);
-  return best != kInvalidPartition ? best
-                                   : static_cast<PartitionId>(HashU64(u) % k);
+  return MasterOrHash(u, k, MostIncident(row));
 }
 
 /// One partition's share of a vertex's incident edges: how many of the
@@ -82,55 +103,6 @@ inline size_t IndexOf(std::span<const IncidenceEntry> row, PartitionId part) {
   while (i < row.size() && row[i].partition != part) ++i;
   return i;
 }
-
-/// Streaming master derivation: the same winner rule over per-vertex
-/// (partition, incident edge count) lists accumulated edge by edge, for
-/// the graph-free RunOnSource paths, whose synopsis stays O(n · RF). The
-/// rule is order-independent, so streaming arrival order yields the
-/// graph path's masters.
-class MasterTracker {
- public:
-  void Note(VertexId v, PartitionId part) {
-    if (v >= counts_.size()) counts_.resize(static_cast<size_t>(v) + 1);
-    auto& row = counts_[v];
-    for (Tally& t : row) {
-      if (t.partition == part) {
-        ++t.edges;
-        return;
-      }
-    }
-    row.push_back({part, 1});
-    ++total_entries_;
-  }
-
-  /// Masters for [0, n); ids never noted are hashed like the graph path.
-  std::vector<PartitionId> Derive(VertexId n, PartitionId k) const {
-    std::vector<PartitionId> masters(n);
-    for (VertexId u = 0; u < n; ++u) {
-      masters[u] = PickMaster(
-          u, k,
-          u < counts_.size() ? std::span<const Tally>(counts_[u])
-                             : std::span<const Tally>());
-    }
-    return masters;
-  }
-
-  uint64_t SynopsisBytes() const {
-    return counts_.capacity() * sizeof(counts_[0]) +
-           total_entries_ * sizeof(Tally);
-  }
-
- private:
-  struct Tally {
-    PartitionId partition = kInvalidPartition;
-    uint32_t edges = 0;
-
-    uint32_t count() const { return edges; }
-  };
-
-  std::vector<std::vector<Tally>> counts_;
-  uint64_t total_entries_ = 0;
-};
 
 }  // namespace sgp
 

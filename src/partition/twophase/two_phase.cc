@@ -6,9 +6,9 @@
 #include "common/check.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
-#include "partition/incidence.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
+#include "partition/streamed_vertexcut.h"
 #include "partition/twophase/cluster_score.h"
 #include "partition/twophase/clustering.h"
 
@@ -55,98 +55,68 @@ struct TwoPhaseMetrics {
 StreamRunResult RunTwoPhase(EdgeStreamSource& source,
                             const PartitionConfig& config,
                             VertexId min_vertices) {
-  SGP_CHECK(config.k > 0);
-  Timer timer;
-  StreamRunResult out;
-  out.partitioning.model = CutModel::kVertexCut;
-  out.partitioning.k = config.k;
-
   TwoPhaseMetrics& metrics = TwoPhaseMetrics::Get();
+  return RunStreamedVertexCut(
+      source, config, EdgeSlot::kStreamId, [&](StreamedVertexCut& run) {
+        // ---- Pass 1: streaming clustering.
+        Timer pass1;
+        ClusteringResult clusters = StreamClusters(source, config);
+        metrics.pass1_wall->Record(pass1.ElapsedSeconds());
+        if (!clusters.ok) {
+          run.Fail(clusters.error);
+          return;
+        }
+        if (!run.Rewind("2PS requires a rewindable source (two passes)")) {
+          return;
+        }
 
-  // ---- Pass 1: streaming clustering.
-  Timer pass1;
-  ClusteringResult clusters = StreamClusters(source, config);
-  metrics.pass1_wall->Record(pass1.ElapsedSeconds());
-  if (!clusters.ok) {
-    out.ok = false;
-    out.error = clusters.error;
-    return out;
-  }
-  if (!source.SupportsRewind()) {
-    out.ok = false;
-    out.error = "2PS requires a rewindable source (two passes)";
-    return out;
-  }
-  source.Rewind();
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
+        // ---- Pass 2: cluster-aware HDRF over the identical sequence.
+        Timer pass2;
+        const VertexId n = std::max(min_vertices, clusters.num_vertices);
+        PartitionState state(config);
+        state.InitCapacities(clusters.num_edges, config.balance_slack);
+        state.InitEffectiveLoads();
+        state.InitReplicas(n);
+        state.replicas().EnableTally();
+        ScoreCore core(state, config.score_mode);
+        twophase::ClusterScorer scorer(state, core, config.hdrf_lambda);
+        const std::vector<PartitionId> cluster_part =
+            PackClusters(clusters, config.k, state.weights());
+        auto home_of = [&](VertexId u) {
+          const uint32_t c = u < clusters.cluster_of.size()
+                                 ? clusters.cluster_of[u]
+                                 : kInvalidCluster;
+          return c == kInvalidCluster ? kInvalidPartition : cluster_part[c];
+        };
 
-  // ---- Pass 2: cluster-aware HDRF over the identical sequence.
-  Timer pass2;
-  const VertexId n = std::max(min_vertices, clusters.num_vertices);
-  PartitionState state(config);
-  state.InitCapacities(clusters.num_edges, config.balance_slack);
-  state.InitEffectiveLoads();
-  state.InitReplicas(n);
-  ScoreCore core(state, config.score_mode);
-  twophase::ClusterScorer scorer(state, core, config.hdrf_lambda);
-  const std::vector<PartitionId> cluster_part =
-      PackClusters(clusters, config.k, state.weights());
-  auto home_of = [&](VertexId u) {
-    const uint32_t c =
-        u < clusters.cluster_of.size() ? clusters.cluster_of[u] : kInvalidCluster;
-    return c == kInvalidCluster ? kInvalidPartition : cluster_part[c];
-  };
+        HdrfStats stats;
+        if (!run.Place([&](std::span<const StreamEdge> chunk) {
+              core.NoteBatch();
+              for (const StreamEdge& e : chunk) {
+                const double du = clusters.degree[e.src];
+                const double dv = clusters.degree[e.dst];
+                const double theta_u = du / (du + dv);
+                const double theta_v = 1.0 - theta_u;
+                run.Record(e, scorer.Place(e.src, e.dst, home_of(e.src),
+                                           home_of(e.dst), theta_u, theta_v,
+                                           stats));
+              }
+            })) {
+          return;
+        }
+        metrics.pass2_wall->Record(pass2.ElapsedSeconds());
 
-  std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
-  MasterTracker masters;
-  HdrfStats stats;
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    core.NoteBatch();
-    for (const StreamEdge& e : chunk) {
-      const double du = clusters.degree[e.src];
-      const double dv = clusters.degree[e.dst];
-      const double theta_u = du / (du + dv);
-      const double theta_v = 1.0 - theta_u;
-      const PartitionId target =
-          scorer.Place(e.src, e.dst, home_of(e.src), home_of(e.dst), theta_u,
-                       theta_v, stats);
-      if (e.id >= assign.size()) {
-        assign.resize(static_cast<size_t>(e.id) + 1, kInvalidPartition);
-      }
-      assign[e.id] = target;
-      masters.Note(e.src, target);
-      masters.Note(e.dst, target);
-      ++out.num_edges;
-    }
-  }
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
-  metrics.pass2_wall->Record(pass2.ElapsedSeconds());
+        run.Finish(state.replicas(), state, n,
+                   clusters.SynopsisBytes() + scorer.SynopsisBytes() +
+                       cluster_part.capacity() * sizeof(PartitionId));
 
-  out.num_vertices = n;
-  out.partitioning.vertex_to_partition = masters.Derive(n, config.k);
-  state.NoteAuxiliaryBytes(clusters.SynopsisBytes() + masters.SynopsisBytes() +
-                           scorer.SynopsisBytes() +
-                           cluster_part.capacity() * sizeof(PartitionId) +
-                           assign.capacity() * sizeof(PartitionId));
-  out.partitioning.state_bytes = state.SynopsisBytes();
-  out.partitioning.partitioning_seconds = timer.ElapsedSeconds();
-
-  metrics.clusters->Increment(clusters.num_clusters);
-  metrics.moves->Increment(clusters.moves);
-  metrics.pass1_edges->Increment(clusters.num_edges);
-  metrics.volume_cap->Increment(clusters.volume_cap);
-  metrics.edges_assigned->Increment(out.num_edges);
-  metrics.tie_breaks->Increment(stats.tie_breaks);
-  return out;
+        metrics.clusters->Increment(clusters.num_clusters);
+        metrics.moves->Increment(clusters.moves);
+        metrics.pass1_edges->Increment(clusters.num_edges);
+        metrics.volume_cap->Increment(clusters.volume_cap);
+        metrics.edges_assigned->Increment(run.num_edges());
+        metrics.tie_breaks->Increment(stats.tie_breaks);
+      });
 }
 
 }  // namespace

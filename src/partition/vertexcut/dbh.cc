@@ -4,10 +4,9 @@
 
 #include "common/check.h"
 #include "common/hashing.h"
-#include "common/timer.h"
-#include "partition/incidence.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
+#include "partition/streamed_vertexcut.h"
 
 namespace sgp {
 
@@ -32,66 +31,44 @@ Partitioning DbhPartitioner::Run(const Graph& graph,
 
 StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
                                             const PartitionConfig& config) const {
-  SGP_CHECK(config.k > 0);
-  Timer timer;
-  StreamRunResult out;
-  out.partitioning.model = CutModel::kVertexCut;
-  out.partitioning.k = config.k;
-  PartitionState state(config);
-  const CapacityAwareHasher hasher(state);
-  ScoreCore core(state, config.score_mode);
-  MasterTracker masters;
-  VertexId max_bound = 0;
+  return RunStreamedVertexCut(
+      source, config, EdgeSlot::kArrival, [&](StreamedVertexCut& run) {
+        PartitionState state(config);
+        const CapacityAwareHasher hasher(state);
+        ScoreCore core(state, config.score_mode);
+        ReplicaState tally = MakeStreamTally(config.k);
 
-  // Degree pre-pass: stream occurrence counts stand in for degrees (equal
-  // to graph degrees on duplicate-free undirected inputs).
-  std::vector<uint32_t> stream_degree;
-  ForEachStreamItem(source, [&](const StreamEdge& e) {
-    const VertexId hi = std::max(e.src, e.dst);
-    if (hi >= stream_degree.size()) {
-      stream_degree.resize(static_cast<size_t>(hi) + 1, 0);
-    }
-    ++stream_degree[e.src];
-    ++stream_degree[e.dst];
-  });
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
-  if (!source.SupportsRewind()) {
-    out.ok = false;
-    out.error = "DBH requires a rewindable source (degree pre-pass)";
-    return out;
-  }
-  source.Rewind();
+        // Degree pre-pass: stream occurrence counts stand in for degrees
+        // (equal to graph degrees on duplicate-free undirected inputs).
+        std::vector<uint32_t> stream_degree;
+        ForEachStreamItem(source, [&](const StreamEdge& e) {
+          const VertexId hi = std::max(e.src, e.dst);
+          if (hi >= stream_degree.size()) {
+            stream_degree.resize(static_cast<size_t>(hi) + 1, 0);
+          }
+          ++stream_degree[e.src];
+          ++stream_degree[e.dst];
+        });
+        if (!run.Rewind("DBH requires a rewindable source (degree pre-pass)")) {
+          return;
+        }
 
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    core.NoteBatch();
-    for (const StreamEdge& e : chunk) {
-      VertexId pivot =
-          stream_degree[e.src] <= stream_degree[e.dst] ? e.src : e.dst;
-      const PartitionId target = hasher.Pick(HashU64Seeded(pivot, config.seed));
-      max_bound = std::max({max_bound, e.src + 1, e.dst + 1});
-      out.partitioning.edge_to_partition.push_back(target);
-      masters.Note(e.src, target);
-      masters.Note(e.dst, target);
-      ++out.num_edges;
-    }
-  }
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
-  out.num_vertices = max_bound;
-  out.partitioning.vertex_to_partition = masters.Derive(max_bound, config.k);
-  state.NoteAuxiliaryBytes(masters.SynopsisBytes() +
-                           stream_degree.capacity() * sizeof(uint32_t));
-  out.partitioning.state_bytes = state.SynopsisBytes();
-  out.partitioning.partitioning_seconds = timer.ElapsedSeconds();
-  return out;
+        if (!run.Place([&](std::span<const StreamEdge> chunk) {
+              core.NoteBatch();
+              for (const StreamEdge& e : chunk) {
+                const VertexId pivot =
+                    stream_degree[e.src] <= stream_degree[e.dst] ? e.src
+                                                                 : e.dst;
+                run.RecordTallied(
+                    tally, e, hasher.Pick(HashU64Seeded(pivot, config.seed)));
+              }
+            })) {
+          return;
+        }
+        run.Finish(tally, state, 0,
+                   tally.SynopsisBytes() +
+                       stream_degree.capacity() * sizeof(uint32_t));
+      });
 }
 
 }  // namespace sgp

@@ -2,10 +2,9 @@
 
 #include "common/check.h"
 #include "common/hashing.h"
-#include "common/timer.h"
-#include "partition/incidence.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
+#include "partition/streamed_vertexcut.h"
 
 namespace sgp {
 
@@ -28,41 +27,25 @@ Partitioning HashVertexCutPartitioner::Run(
 
 StreamRunResult HashVertexCutPartitioner::RunOnSource(
     EdgeStreamSource& source, const PartitionConfig& config) const {
-  SGP_CHECK(config.k > 0);
-  Timer timer;
-  StreamRunResult out;
-  out.partitioning.model = CutModel::kVertexCut;
-  out.partitioning.k = config.k;
-  PartitionState state(config);
-  const CapacityAwareHasher hasher(state);
-  ScoreCore core(state, config.score_mode);
-  MasterTracker masters;
-  VertexId max_bound = 0;
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    core.NoteBatch();
-    for (const StreamEdge& e : chunk) {
-      uint64_t h = HashCombine(HashU64Seeded(e.src, config.seed),
-                               HashU64Seeded(e.dst, config.seed));
-      const PartitionId target = hasher.Pick(h);
-      max_bound = std::max({max_bound, e.src + 1, e.dst + 1});
-      out.partitioning.edge_to_partition.push_back(target);
-      masters.Note(e.src, target);
-      masters.Note(e.dst, target);
-      ++out.num_edges;
-    }
-  }
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
-  out.num_vertices = max_bound;
-  out.partitioning.vertex_to_partition = masters.Derive(max_bound, config.k);
-  state.NoteAuxiliaryBytes(masters.SynopsisBytes());
-  out.partitioning.state_bytes = state.SynopsisBytes();
-  out.partitioning.partitioning_seconds = timer.ElapsedSeconds();
-  return out;
+  return RunStreamedVertexCut(
+      source, config, EdgeSlot::kArrival, [&](StreamedVertexCut& run) {
+        PartitionState state(config);
+        const CapacityAwareHasher hasher(state);
+        ScoreCore core(state, config.score_mode);
+        ReplicaState tally = MakeStreamTally(config.k);
+        if (!run.Place([&](std::span<const StreamEdge> chunk) {
+              core.NoteBatch();
+              for (const StreamEdge& e : chunk) {
+                const uint64_t h =
+                    HashCombine(HashU64Seeded(e.src, config.seed),
+                                HashU64Seeded(e.dst, config.seed));
+                run.RecordTallied(tally, e, hasher.Pick(h));
+              }
+            })) {
+          return;
+        }
+        run.Finish(tally, state, 0, tally.SynopsisBytes());
+      });
 }
 
 }  // namespace sgp

@@ -4,10 +4,9 @@
 
 #include "common/check.h"
 #include "common/telemetry.h"
-#include "common/timer.h"
-#include "partition/incidence.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
+#include "partition/streamed_vertexcut.h"
 #include "stream/source.h"
 
 namespace sgp {
@@ -67,55 +66,37 @@ Partitioning HdrfPartitioner::Run(const Graph& graph,
 
 StreamRunResult HdrfPartitioner::RunOnSource(
     EdgeStreamSource& source, const PartitionConfig& config) const {
-  SGP_CHECK(config.k > 0);
-  Timer timer;
-  StreamRunResult out;
-  out.partitioning.model = CutModel::kVertexCut;
-  out.partitioning.k = config.k;
-
   HdrfMetrics& metrics = HdrfMetrics::Get();
   ScopedTimer assign_timer(metrics.assign_wall);
-
-  PartitionState state(config);
-  state.InitDegreeTable(0);
-  state.InitEffectiveLoads();
-  state.InitReplicas(0);
-  ScoreCore core(state, config.score_mode);
-  MasterTracker masters;
-  VertexId max_bound = 0;
-  HdrfStats stats;
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    // Grow the id space over the whole chunk up front, so the scorer's
-    // bit-index rows are stable while it batches the chunk.
-    for (const StreamEdge& e : chunk) {
-      state.EnsureVertex(std::max(e.src, e.dst));
-    }
-    core.PlaceHdrfChunk(chunk, config.hdrf_lambda, stats,
-                        [&](const StreamEdge& e, PartitionId target) {
-                          max_bound = std::max({max_bound, e.src + 1,
-                                                e.dst + 1});
-                          out.partitioning.edge_to_partition.push_back(target);
-                          masters.Note(e.src, target);
-                          masters.Note(e.dst, target);
-                          ++out.num_edges;
-                        });
-  }
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
-  metrics.edges_assigned->Increment(out.num_edges);
-  metrics.degree_table_hits->Increment(stats.degree_hits);
-  metrics.tie_breaks->Increment(stats.tie_breaks);
-
-  out.num_vertices = max_bound;
-  out.partitioning.vertex_to_partition = masters.Derive(max_bound, config.k);
-  state.NoteAuxiliaryBytes(masters.SynopsisBytes());
-  out.partitioning.state_bytes = state.SynopsisBytes();
-  out.partitioning.partitioning_seconds = timer.ElapsedSeconds();
-  return out;
+  return RunStreamedVertexCut(
+      source, config, EdgeSlot::kArrival, [&](StreamedVertexCut& run) {
+        PartitionState state(config);
+        state.InitDegreeTable(0);
+        state.InitEffectiveLoads();
+        state.InitReplicas(0);
+        state.replicas().EnableTally();
+        ScoreCore core(state, config.score_mode);
+        HdrfStats stats;
+        if (!run.Place([&](std::span<const StreamEdge> chunk) {
+              // Grow the id space over the whole chunk up front, so the
+              // scorer's bit-index rows are stable while it batches the
+              // chunk.
+              for (const StreamEdge& e : chunk) {
+                state.EnsureVertex(std::max(e.src, e.dst));
+              }
+              core.PlaceHdrfChunk(
+                  chunk, config.hdrf_lambda, stats,
+                  [&](const StreamEdge& e, PartitionId target) {
+                    run.Record(e, target);
+                  });
+            })) {
+          return;
+        }
+        metrics.edges_assigned->Increment(run.num_edges());
+        metrics.degree_table_hits->Increment(stats.degree_hits);
+        metrics.tie_breaks->Increment(stats.tie_breaks);
+        run.Finish(state.replicas(), state, 0, 0);
+      });
 }
 
 }  // namespace sgp

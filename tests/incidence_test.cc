@@ -14,10 +14,11 @@
 #include "partition/dynamic/dynamic_partitioner.h"
 #include "partition/metrics.h"
 #include "partition/partitioning.h"
+#include "partition/vertexcut/replica_state.h"
 #include "tests/test_util.h"
 
 // Every consumer of the vertex→partition incidence table — the table
-// itself, graph-path masters, the streaming MasterTracker, replica sets,
+// itself, graph-path masters, the streamed replica-row tally, replica sets,
 // the replication factor, the engine's DistributedGraph and failover
 // repair — checked against a dense n×k brute-force count.
 
@@ -207,7 +208,7 @@ TEST_P(IncidenceOracleTest, GraphPathMastersMatchOracle) {
   }
 }
 
-TEST_P(IncidenceOracleTest, ShuffledMasterTrackerMatchesOracle) {
+TEST_P(IncidenceOracleTest, ShuffledReplicaTallyMatchesOracle) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     const Case c = MakeCase(directed(), k(), seed);
     const Oracle o(c.graph, c.partitioning.edge_to_partition, k());
@@ -215,17 +216,36 @@ TEST_P(IncidenceOracleTest, ShuffledMasterTrackerMatchesOracle) {
     std::iota(order.begin(), order.end(), EdgeId{0});
     Rng rng(seed * 977);
     rng.Shuffle(order);
-    MasterTracker tracker;
-    for (EdgeId e : order) {
-      const Edge& edge = c.graph.edges()[e];
-      tracker.Note(edge.src, c.partitioning.edge_to_partition[e]);
-      tracker.Note(edge.dst, c.partitioning.edge_to_partition[e]);
-    }
-    // Ids past the last noted one (the isolated tail) are hashed.
-    const std::vector<PartitionId> masters = tracker.Derive(o.n, k());
-    ASSERT_EQ(masters.size(), o.n);
-    for (VertexId v = 0; v < o.n; ++v) {
-      EXPECT_EQ(masters[v], o.Master(v)) << "vertex " << v;
+    // Both spilled-row lookups: binary search, and the bit-index rank.
+    for (bool bit_index : {false, true}) {
+      ReplicaState tally;
+      tally.EnableTally();
+      if (bit_index) tally.EnableBitIndex(k());
+      for (EdgeId e : order) {
+        const Edge& edge = c.graph.edges()[e];
+        tally.EnsureVertex(std::max(edge.src, edge.dst));
+        tally.Add(edge.src, c.partitioning.edge_to_partition[e]);
+        tally.Add(edge.dst, c.partitioning.edge_to_partition[e]);
+      }
+      // Ids past the last tallied one (the isolated tail) are hashed.
+      for (VertexId v = 0; v < o.n; ++v) {
+        PartitionId winner = kInvalidPartition;
+        if (v < tally.num_vertices()) {
+          const auto parts = tally.Of(v);
+          const auto counts = tally.CountsOf(v);
+          ASSERT_EQ(parts.size(), counts.size());
+          ASSERT_EQ(parts.size(), o.touched[v].size()) << "vertex " << v;
+          for (size_t i = 0; i < parts.size(); ++i) {
+            EXPECT_EQ(counts[i], o.Count(v, parts[i]))
+                << "vertex " << v << " partition " << parts[i];
+          }
+          winner = MostIncidentAt(
+              parts.size(), [&](size_t i) { return parts[i]; },
+              [&](size_t i) { return counts[i]; });
+        }
+        EXPECT_EQ(MasterOrHash(v, k(), winner), o.Master(v))
+            << "vertex " << v << " bit_index=" << bit_index;
+      }
     }
   }
 }
