@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   const std::string trace_out = flags.TakeString("--trace-out").value_or("");
   std::vector<std::string> positional = flags.TakePositional();
   if (!flags.ok()) {
-    std::cerr << flags.error() << "\n";
+    std::cerr << "error: " << flags.error() << "\n";
     return 1;
   }
 

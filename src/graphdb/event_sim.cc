@@ -110,23 +110,6 @@ struct SimMetrics {
 
 }  // namespace
 
-std::vector<QueryTraceRecord> SimResult::Traces() const {
-  std::vector<QueryTraceRecord> out;
-  std::vector<TraceEvent> events = query_traces.Snapshot();
-  out.reserve(events.size());
-  for (const TraceEvent& e : events) {
-    QueryTraceRecord record;
-    record.binding = static_cast<uint32_t>(e.args[0]);
-    record.issue_time = e.start;
-    record.completion_time = e.end;
-    record.coordinator = static_cast<PartitionId>(e.args[1]);
-    record.reads = e.args[2];
-    record.rounds = static_cast<uint32_t>(e.args[3]);
-    out.push_back(record);
-  }
-  return out;
-}
-
 SimResult SimulateClosedLoop(const GraphDatabase& db, const Workload& workload,
                              const SimConfig& config) {
   SimResult result;

@@ -102,20 +102,6 @@ struct SimConfig {
   MonitorSpec monitor;
 };
 
-/// One completed query, when tracing is enabled. This is the decoded view
-/// of a telemetry TraceEvent (name "query"; args = binding, coordinator,
-/// reads, rounds; start/end = issue/completion on the simulated clock)
-/// kept for analysis convenience — the raw events live in
-/// SimResult::query_traces.
-struct QueryTraceRecord {
-  uint32_t binding = 0;          // index into Workload::bindings()
-  double issue_time = 0;         // seconds, simulated clock
-  double completion_time = 0;
-  PartitionId coordinator = 0;
-  uint64_t reads = 0;            // total vertex reads of the plan
-  uint32_t rounds = 0;           // fork-join rounds of the plan
-};
-
 /// Availability metrics of a faulty run — what the paper's healthy-cluster
 /// evaluation cannot see. Counters cover the measurement window unless
 /// noted; all zeros / defaults when SimConfig::faults is empty.
@@ -203,7 +189,10 @@ struct SimResult {
 
   /// Bounded per-query trace buffer (telemetry API): one "query" event
   /// per measured query, oldest first, capped at SimConfig::max_traces.
-  /// Empty unless SimConfig::collect_traces.
+  /// start/end are issue and completion on the simulated clock; args are
+  /// {binding (index into Workload::bindings()), coordinator, total vertex
+  /// reads of the plan, fork-join rounds}. Empty unless
+  /// SimConfig::collect_traces.
   TraceBuffer query_traces{0};
 
   /// Availability metrics under the injected FaultPlan (defaults when the
@@ -226,10 +215,6 @@ struct SimResult {
   /// The sampled store itself — what RecommendFromTimeSeries consumes
   /// (`time_series` above is its serialized form).
   TimeSeriesStore monitor_series;
-
-  /// Compatibility accessor: the trace buffer decoded into the classic
-  /// per-query records.
-  std::vector<QueryTraceRecord> Traces() const;
 };
 
 /// Discrete-event simulation of the JanusGraph cluster: FIFO single-server

@@ -87,7 +87,10 @@ EdgeListFileSource::EdgeListFileSource(const std::string& path,
                                        const Options& options)
     : path_(path), options_(options) {
   SGP_CHECK(options_.chunk_size >= 1);
-  buffer_.reserve(options_.chunk_size);
+  // The chunk size is a limit, not a promise: a huge one (or one past the
+  // file) grows the buffer only as far as the edges that arrive.
+  constexpr uint64_t kMaxReservedEdges = uint64_t{1} << 16;
+  buffer_.reserve(std::min(options_.chunk_size, kMaxReservedEdges));
   Reset();
 }
 

@@ -25,7 +25,6 @@ TEST(SimTraceTest, CollectsOneRecordPerMeasuredQuery) {
   GraphDatabase db = MakeDb(g, 4);
   Workload w(g, {});
   SimResult r = SimulateClosedLoop(db, w, TracingSim());
-  EXPECT_EQ(r.Traces().size(), r.completed);
   EXPECT_EQ(r.query_traces.size(), r.completed);
   EXPECT_EQ(r.query_traces.dropped(), 0u);
 }
@@ -35,11 +34,11 @@ TEST(SimTraceTest, TracesConsistentWithLatencySummary) {
   GraphDatabase db = MakeDb(g, 4);
   Workload w(g, {});
   SimResult r = SimulateClosedLoop(db, w, TracingSim());
-  const std::vector<QueryTraceRecord> traces = r.Traces();
+  const std::vector<TraceEvent> traces = r.query_traces.Snapshot();
   double sum = 0;
-  for (const QueryTraceRecord& t : traces) {
-    ASSERT_GE(t.completion_time, t.issue_time);
-    sum += t.completion_time - t.issue_time;
+  for (const TraceEvent& t : traces) {
+    ASSERT_GE(t.end, t.start);  // completion after issue, simulated clock
+    sum += t.end - t.start;
   }
   EXPECT_NEAR(sum / static_cast<double>(traces.size()), r.latency.mean,
               1e-9);
@@ -50,35 +49,26 @@ TEST(SimTraceTest, TraceFieldsMatchPlans) {
   GraphDatabase db = MakeDb(g, 4);
   Workload w(g, {});
   SimResult r = SimulateClosedLoop(db, w, TracingSim());
-  for (const QueryTraceRecord& t : r.Traces()) {
-    ASSERT_LT(t.binding, w.bindings().size());
-    QueryPlan plan = db.Plan(w.bindings()[t.binding]);
-    ASSERT_EQ(t.coordinator, plan.coordinator);
-    ASSERT_EQ(t.reads, plan.total_reads);
-    ASSERT_EQ(t.rounds, plan.rounds.size());
+  // Payload: args = binding, coordinator, reads, rounds.
+  for (const TraceEvent& t : r.query_traces.Snapshot()) {
+    ASSERT_LT(t.args[0], w.bindings().size());
+    QueryPlan plan = db.Plan(w.bindings()[t.args[0]]);
+    ASSERT_EQ(t.args[1], plan.coordinator);
+    ASSERT_EQ(t.args[2], plan.total_reads);
+    ASSERT_EQ(t.args[3], plan.rounds.size());
   }
 }
 
-TEST(SimTraceTest, RawTraceEventsCarryQueryPayload) {
-  // The compatibility records are a decoded view of telemetry
-  // TraceEvents; the raw buffer must carry the same payload.
+TEST(SimTraceTest, TraceEventsAreNamedAndNumberedInCompletionOrder) {
   Graph g = MakeDataset("ldbc", 9);
   GraphDatabase db = MakeDb(g, 4);
   Workload w(g, {});
   SimResult r = SimulateClosedLoop(db, w, TracingSim(500));
   const std::vector<TraceEvent> events = r.query_traces.Snapshot();
-  const std::vector<QueryTraceRecord> records = r.Traces();
-  ASSERT_EQ(events.size(), records.size());
   ASSERT_GT(events.size(), 0u);
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].name, "query");
     EXPECT_EQ(events[i].id, static_cast<uint32_t>(i));
-    EXPECT_EQ(events[i].args[0], records[i].binding);
-    EXPECT_EQ(events[i].args[1], records[i].coordinator);
-    EXPECT_EQ(events[i].args[2], records[i].reads);
-    EXPECT_EQ(events[i].args[3], records[i].rounds);
-    EXPECT_DOUBLE_EQ(events[i].start, records[i].issue_time);
-    EXPECT_DOUBLE_EQ(events[i].end, records[i].completion_time);
   }
 }
 
@@ -89,7 +79,7 @@ TEST(SimTraceTest, CapRespected) {
   SimConfig cfg = TracingSim(4000);
   cfg.max_traces = 100;
   SimResult r = SimulateClosedLoop(db, w, cfg);
-  EXPECT_EQ(r.Traces().size(), 100u);
+  EXPECT_EQ(r.query_traces.size(), 100u);
   // Appends beyond the cap are counted, not stored.
   EXPECT_EQ(r.query_traces.dropped(), r.completed - 100u);
   // Statistics still cover every measured query, not just the traced ones.
@@ -102,16 +92,13 @@ TEST(SimTraceTest, IdenticalSeedsProduceIdenticalTraces) {
   Workload w(g, {});
   SimResult a = SimulateClosedLoop(db, w, TracingSim());
   SimResult b = SimulateClosedLoop(db, w, TracingSim());
-  const std::vector<QueryTraceRecord> at = a.Traces();
-  const std::vector<QueryTraceRecord> bt = b.Traces();
+  const std::vector<TraceEvent> at = a.query_traces.Snapshot();
+  const std::vector<TraceEvent> bt = b.query_traces.Snapshot();
   ASSERT_EQ(at.size(), bt.size());
   for (size_t i = 0; i < at.size(); ++i) {
-    EXPECT_EQ(at[i].binding, bt[i].binding);
-    EXPECT_DOUBLE_EQ(at[i].issue_time, bt[i].issue_time);
-    EXPECT_DOUBLE_EQ(at[i].completion_time, bt[i].completion_time);
-    EXPECT_EQ(at[i].coordinator, bt[i].coordinator);
-    EXPECT_EQ(at[i].reads, bt[i].reads);
-    EXPECT_EQ(at[i].rounds, bt[i].rounds);
+    EXPECT_EQ(at[i].args, bt[i].args);
+    EXPECT_DOUBLE_EQ(at[i].start, bt[i].start);
+    EXPECT_DOUBLE_EQ(at[i].end, bt[i].end);
   }
 }
 
@@ -123,7 +110,7 @@ TEST(SimTraceTest, ExplicitlyDisabledIgnoresCap) {
   cfg.collect_traces = false;
   cfg.max_traces = 100;  // cap must be irrelevant when collection is off
   SimResult r = SimulateClosedLoop(db, w, cfg);
-  EXPECT_TRUE(r.Traces().empty());
+  EXPECT_TRUE(r.query_traces.empty());
   EXPECT_GT(r.completed, 0u);
 }
 
@@ -134,7 +121,7 @@ TEST(SimTraceTest, ZeroCapCollectsNothing) {
   SimConfig cfg = TracingSim(1000);
   cfg.max_traces = 0;
   SimResult r = SimulateClosedLoop(db, w, cfg);
-  EXPECT_TRUE(r.Traces().empty());
+  EXPECT_TRUE(r.query_traces.empty());
   EXPECT_EQ(r.latency.count, r.completed);
 }
 
@@ -146,7 +133,7 @@ TEST(SimTraceTest, DisabledByDefault) {
   cfg.clients = 8;
   cfg.num_queries = 500;
   SimResult r = SimulateClosedLoop(db, w, cfg);
-  EXPECT_TRUE(r.Traces().empty());
+  EXPECT_TRUE(r.query_traces.empty());
 }
 
 }  // namespace
