@@ -85,31 +85,41 @@ TEST(StreamIngestTest, MatchesMaterializedPartitioner) {
 // the incidence table from the graph, so it shares nothing with the
 // per-edge tally a RunOnSource keeps. R-MAT hubs at k up to 128 push
 // replica rows far past their inline capacity; chunk size 1 also puts
-// every edge in its own scorer batch.
+// every edge in its own scorer batch. Spilled rows are ranked through the
+// bit index in kFast and binary-searched in kReference and, for VCR and
+// DBH, past k = 512.
 TEST(StreamIngestTest, StreamedMastersMatchGraphDerivation) {
   Graph g = MakeDataset("twitter", 11);
   struct Shape {
     PartitionId k;
     bool heterogeneous;
+    ScoreMode mode;
   };
-  const Shape shapes[] = {{4, false}, {5, false}, {32, false}, {128, false},
-                          {12, true}};
+  const Shape shapes[] = {{4, false, ScoreMode::kFast},
+                          {5, false, ScoreMode::kFast},
+                          {32, false, ScoreMode::kFast},
+                          {128, false, ScoreMode::kFast},
+                          {12, true, ScoreMode::kFast},
+                          {32, false, ScoreMode::kReference},
+                          {600, false, ScoreMode::kFast}};
   for (const char* algo : {"VCR", "DBH", "HDRF", "2PS", "HEP"}) {
     for (const Shape& shape : shapes) {
       PartitionConfig cfg;
       cfg.k = shape.k;
       cfg.seed = 7;
       cfg.order = StreamOrder::kNatural;
+      cfg.score_mode = shape.mode;
       if (shape.heterogeneous) {
         for (PartitionId p = 0; p < shape.k; ++p) {
           cfg.capacity_weights.push_back(1.0 + (p % 4));
         }
       }
       for (uint64_t chunk : {1ull, 4096ull}) {
-        const std::string where = std::string(algo) +
-                                  " k=" + std::to_string(shape.k) +
-                                  (shape.heterogeneous ? " hetero" : "") +
-                                  " chunk=" + std::to_string(chunk);
+        const std::string where =
+            std::string(algo) + " k=" + std::to_string(shape.k) +
+            (shape.heterogeneous ? " hetero" : "") + " " +
+            std::string(ScoreModeName(shape.mode)) +
+            " chunk=" + std::to_string(chunk);
         InMemoryEdgeSource source(g, StreamOrder::kNatural, cfg.seed, chunk);
         StreamRunResult r = CreatePartitioner(algo)->RunOnSource(source, cfg);
         ASSERT_TRUE(r.ok) << where << ": " << r.error;
