@@ -32,8 +32,6 @@ class StreamedVertexCut {
   StreamedVertexCut(EdgeStreamSource& source, const PartitionConfig& config,
                     EdgeSlot slot);
 
-  EdgeStreamSource& source() { return source_; }
-
   /// Ends a pre-pass: fails the run when the pass met a source error, or
   /// with `not_rewindable` when the source cannot rewind; else rewinds it
   /// for the next pass. Returns false when the run failed.

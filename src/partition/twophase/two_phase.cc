@@ -92,7 +92,17 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
         HdrfStats stats;
         if (!run.Place([&](std::span<const StreamEdge> chunk) {
               core.NoteBatch();
-              for (const StreamEdge& e : chunk) {
+              const ReplicaState& replicas = state.replicas();
+              for (size_t i = 0; i < chunk.size(); ++i) {
+                if (i + kScorePrefetchAhead < chunk.size()) {
+                  const StreamEdge& f = chunk[i + kScorePrefetchAhead];
+                  for (VertexId w : {f.src, f.dst}) {
+                    __builtin_prefetch(&clusters.degree[w], 0, 1);
+                    __builtin_prefetch(&clusters.cluster_of[w], 0, 1);
+                    replicas.Prefetch(w);
+                  }
+                }
+                const StreamEdge& e = chunk[i];
                 const double du = clusters.degree[e.src];
                 const double dv = clusters.degree[e.dst];
                 const double theta_u = du / (du + dv);
