@@ -61,14 +61,6 @@ void StreamedVertexCut::Finish(const ReplicaState& tally,
   done_ = true;
 }
 
-ReplicaState MakeStreamTally(PartitionId k) {
-  constexpr PartitionId kMaxIndexedK = 512;  // one 64-byte bit row
-  ReplicaState tally;
-  tally.EnableTally();
-  if (k <= kMaxIndexedK) tally.EnableBitIndex(k);
-  return tally;
-}
-
 StreamRunResult StreamedVertexCut::Take(double seconds) {
   SGP_CHECK(done_);
   out_.partitioning.partitioning_seconds = seconds;

@@ -80,6 +80,14 @@ class StreamedVertexCut {
   /// Edges recorded so far.
   uint64_t num_edges() const { return out_.num_edges; }
 
+  /// Bytes of the edge assignment recorded so far. 2PS and HEP count it
+  /// as working state: they fill it by StreamEdge::id, not in arrival
+  /// order.
+  uint64_t assignment_bytes() const {
+    return out_.partitioning.edge_to_partition.capacity() *
+           sizeof(PartitionId);
+  }
+
   /// Fails the run with `error`; its partial results are meaningless.
   void Fail(std::string error);
 
@@ -102,13 +110,6 @@ class StreamedVertexCut {
   VertexId id_bound_ = 0;
   bool done_ = false;
 };
-
-/// The master tally of a streamed algorithm without a scorer (VCR, DBH),
-/// which keeps no replica rows of its own. A spilled row finds an entry
-/// by a popcount of its bit row while that row fits one cache line
-/// (k ≤ 512); beyond, the bit index would outgrow the rows it serves, so
-/// the row is binary-searched instead.
-ReplicaState MakeStreamTally(PartitionId k);
 
 /// Stream twin of RunVertexCut: `place(run)` makes the algorithm's
 /// pre-passes and placement pass through `run` (a StreamedVertexCut) and

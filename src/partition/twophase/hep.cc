@@ -164,7 +164,7 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
         run.Finish(state.replicas(), state, n,
                    degree.capacity() * sizeof(uint32_t) +
                        hub_edges.capacity() * sizeof(StreamEdge) +
-                       scorer.SynopsisBytes());
+                       scorer.SynopsisBytes() + run.assignment_bytes());
 
         metrics.hub_vertices->Increment(hubs.size());
         metrics.hub_edges->Increment(hub_edges.size());

@@ -118,7 +118,8 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
 
         run.Finish(state.replicas(), state, n,
                    clusters.SynopsisBytes() + scorer.SynopsisBytes() +
-                       cluster_part.capacity() * sizeof(PartitionId));
+                       cluster_part.capacity() * sizeof(PartitionId) +
+                       run.assignment_bytes());
 
         metrics.clusters->Increment(clusters.num_clusters);
         metrics.moves->Increment(clusters.moves);

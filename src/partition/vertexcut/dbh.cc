@@ -36,7 +36,11 @@ StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
         PartitionState state(config);
         const CapacityAwareHasher hasher(state);
         ScoreCore core(state, config.score_mode);
-        ReplicaState tally = MakeStreamTally(config.k);
+        // No scorer keeps replica rows here, so the master tally gets a
+        // table of its own; without a bit index, spilled rows are
+        // binary-searched.
+        ReplicaState tally;
+        tally.EnableTally();
 
         // Degree pre-pass: stream occurrence counts stand in for degrees
         // (equal to graph degrees on duplicate-free undirected inputs).

@@ -32,7 +32,11 @@ StreamRunResult HashVertexCutPartitioner::RunOnSource(
         PartitionState state(config);
         const CapacityAwareHasher hasher(state);
         ScoreCore core(state, config.score_mode);
-        ReplicaState tally = MakeStreamTally(config.k);
+        // No scorer keeps replica rows here, so the master tally gets a
+        // table of its own; without a bit index, spilled rows are
+        // binary-searched.
+        ReplicaState tally;
+        tally.EnableTally();
         if (!run.Place([&](std::span<const StreamEdge> chunk) {
               core.NoteBatch();
               for (const StreamEdge& e : chunk) {

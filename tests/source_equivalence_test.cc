@@ -85,9 +85,10 @@ TEST(StreamIngestTest, MatchesMaterializedPartitioner) {
 // the incidence table from the graph, so it shares nothing with the
 // per-edge tally a RunOnSource keeps. R-MAT hubs at k up to 128 push
 // replica rows far past their inline capacity; chunk size 1 also puts
-// every edge in its own scorer batch. Spilled rows are ranked through the
-// bit index in kFast and binary-searched in kReference and, for VCR and
-// DBH, past k = 512.
+// every edge in its own scorer batch. HDRF, 2PS and HEP rank spilled
+// rows through the bit index in kFast (k = 600 takes a bit row past one
+// cache line) and binary-search them in kReference; VCR and DBH tally on
+// a table without the index, so they always binary-search.
 TEST(StreamIngestTest, StreamedMastersMatchGraphDerivation) {
   Graph g = MakeDataset("twitter", 11);
   struct Shape {
